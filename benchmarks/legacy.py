@@ -21,7 +21,6 @@ from repro.core.convert import hicoo_storage_bytes
 from repro.core.hicoo import HicooTensor
 from repro.core.scheduler import choose_strategy, schedule_mode
 from repro.core.superblock import build_superblocks
-from repro.kernels.mttkrp import _hicoo_block_range_chunk
 from repro.parallel.partition import balanced_ranges
 from repro.parallel.privatize import PrivateBuffers
 from repro.util.bitops import bits_for
@@ -44,6 +43,31 @@ def legacy_seq_flat(tensor, factors, mode):
             acc *= f[ginds[:, m]]
     np.add.at(out, ginds[:, mode], acc)
     return out
+
+
+def _hicoo_block_range_chunk(tensor, block_ids, factors, mode, out):
+    """The old per-block chunk kernel: re-materializes the index ranges of
+    its blocks on every call and scatters via np.add.at."""
+    if not len(block_ids):
+        return
+    rank = out.shape[1]
+    shift = tensor.block_bits
+    # gather the nonzero ranges of all assigned blocks
+    pieces_i = []
+    pieces_blk = []
+    for blk in block_ids:
+        lo, hi = int(tensor.bptr[blk]), int(tensor.bptr[blk + 1])
+        pieces_i.append(np.arange(lo, hi))
+        pieces_blk.append(np.full(hi - lo, blk, dtype=np.int64))
+    nz = np.concatenate(pieces_i)
+    blk_of = np.concatenate(pieces_blk)
+    base = tensor.binds[blk_of].astype(np.int64) << shift
+    ginds = base + tensor.einds[nz].astype(np.int64)
+    acc = np.repeat(tensor.values[nz, None], rank, axis=1)
+    for m, f in enumerate(factors):
+        if m != mode:
+            acc *= f[ginds[:, m]]
+    np.add.at(out, ginds[:, mode], acc)
 
 
 def legacy_parallel_hicoo(tensor, factors, mode, nthreads, strategy="auto",

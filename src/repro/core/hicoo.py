@@ -168,7 +168,8 @@ class HicooTensor(SparseTensorFormat):
         self.__dict__.setdefault("_gather_cache", {}).clear()
 
     def gather_cache_bytes(self) -> int:
-        """Total footprint of the memoized gather arrays."""
+        """Total footprint of the memoized gather arrays and of the
+        reduction operators their MTTKRPs built."""
         cache = self.__dict__.setdefault("_gather_cache", {})
         return sum(tg.nbytes() for tg in cache.values())
 

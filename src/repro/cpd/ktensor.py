@@ -8,7 +8,7 @@ its fit without ever densifying the input tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -68,24 +68,43 @@ class KruskalTensor:
             out += comp
         return out
 
-    def norm(self) -> float:
+    def norm(self, grams: Sequence[np.ndarray] | None = None) -> float:
         """||M||_F via the Gram identity:
-        ``||M||^2 = w^T (hadamard_m U_m^T U_m) w`` — O(N R^2 I) work."""
-        coeff = hadamard_all([gram(f) for f in self.factors])
-        val = float(self.weights @ coeff @ self.weights)
+        ``||M||^2 = w^T (hadamard_m U_m^T U_m) w`` — O(N R^2 I) work, or
+        O(N R^2) when the caller passes the current ``grams``."""
+        if grams is None:
+            grams = [gram(f) for f in self.factors]
+        val = float(self.weights @ hadamard_all(grams) @ self.weights)
         return float(np.sqrt(max(val, 0.0)))
 
     def innerprod(self, tensor: CooTensor) -> float:
         """<X, M> evaluated sparsely over X's nonzeros."""
         return tensor.innerprod_ktensor(self.weights, self.factors)
 
-    def fit(self, tensor: CooTensor, tensor_norm: float | None = None) -> float:
-        """CP fit: ``1 - ||X - M|| / ||X||`` (1 is exact recovery)."""
+    def fit(self, tensor: CooTensor, tensor_norm: float | None = None,
+            mttkrp: np.ndarray | None = None,
+            grams: Sequence[np.ndarray] | None = None) -> float:
+        """CP fit: ``1 - ||X - M|| / ||X||`` (1 is exact recovery).
+
+        ``mttkrp`` is the last mode's MTTKRP of ``tensor`` computed from
+        the other factors of this model, which CP-ALS has at hand after
+        each sweep.  It holds the inner product already:
+        ``<X, M> = sum_r w_r sum_i mttkrp[i, r] * U_N[i, r]`` in O(I_N R),
+        so no pass over the nonzeros is made.  Without it ``<X, M>`` is
+        evaluated over the nonzeros (:meth:`innerprod`, the reference).
+        ``grams`` are the factors' current Gram matrices, reused for
+        ``||M||`` (see :meth:`norm`).
+        """
         xnorm = tensor.norm() if tensor_norm is None else tensor_norm
+        mnorm = self.norm(grams)
         if xnorm == 0:
-            return 1.0 if self.norm() == 0 else 0.0
-        mnorm = self.norm()
-        resid_sq = xnorm**2 - 2.0 * self.innerprod(tensor) + mnorm**2
+            return 1.0 if mnorm == 0 else 0.0
+        if mttkrp is None:
+            inner = self.innerprod(tensor)
+        else:
+            inner = float(self.weights @ np.einsum("ir,ir->r", mttkrp,
+                                                   self.factors[-1]))
+        resid_sq = xnorm**2 - 2.0 * inner + mnorm**2
         return 1.0 - np.sqrt(max(resid_sq, 0.0)) / xnorm
 
     # ------------------------------------------------------------------

@@ -21,18 +21,20 @@ same contract as HiCOO's ``task_gather`` cache.
 MTTKRP runs over *output-space* views: for target mode ``m`` the nonzeros
 are ordered by their mode-``m`` row with ties broken by **original COO
 position**.  That makes every per-row accumulation a left-to-right sum in
-source order — exactly the order the COO oracle's scatter backends
-(``add_at``, ``bincount``, ``sort_reduceat``, and the sequential compiled
-loop) use — so the ALTO kernel is *bit-identical* to the sequential COO
-baseline on every backend that preserves per-task ordering (sim, thread,
-process, numba).  Row segments are disjoint between tasks, so the existing
-lock-free shared-output machinery runs unchanged.
+source order — the order of ``np.add.at`` on the COO input, and of every
+MTTKRP reduction (:class:`~repro.kernels.gather.RowReduction`) — so the
+ALTO kernel is *bit-identical* to the sequential COO baseline on every
+backend that preserves per-task ordering (sim, thread, process, numba).
+A mode view is sorted by target row, so its reduction needs no sort and
+no copy: only the row-segment ``indptr`` is new.  Row segments are
+disjoint between tasks, so the lock-free shared-output machinery runs
+unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -191,6 +193,7 @@ class AltoTensor(SparseTensorFormat):
         self._mode_views: Dict[int, TaskGather] = {}
         self._segments: Dict[int, np.ndarray] = {}
         self._partitions: Dict[Tuple[int, int], AltoPartition] = {}
+        self._task_gathers: Dict[Tuple[int, int, str], List[TaskGather]] = {}
         self._proc_views: Dict[int, _AltoProcView] = {}
 
     # ------------------------------------------------------------------
@@ -225,6 +228,7 @@ class AltoTensor(SparseTensorFormat):
         out._mode_views = {}
         out._segments = {}
         out._partitions = {}
+        out._task_gathers = {}
         out._proc_views = {}
         return out
 
@@ -277,8 +281,8 @@ class AltoTensor(SparseTensorFormat):
 
         The tie order is what makes every backend bit-identical to the COO
         oracle: each output row is accumulated left-to-right in source
-        order, exactly as ``add_at``/``bincount``/``sort_reduceat`` do on
-        the unsorted COO input.  Memoized per mode.
+        order, exactly as ``np.add.at`` does on the unsorted COO input.
+        Memoized per mode.
         """
         mode = check_mode(mode, self.nmodes)
         tg = self._mode_views.get(mode)
@@ -377,6 +381,29 @@ class AltoTensor(SparseTensorFormat):
             self._partitions[(mode, nthreads)] = part
         return part
 
+    def task_gathers(self, mode: int, nthreads: int,
+                     strategy: str) -> List[TaskGather]:
+        """Per-thread tasks of one parallel MTTKRP, memoized per
+        ``(mode, nthreads, strategy)`` so their reduction operators are
+        built once.
+
+        ``"schedule"`` cuts :meth:`mode_view` at the row-disjoint
+        :meth:`schedule` ranges; ``"privatize"`` cuts :meth:`linear_view`
+        into equal-nnz chunks.  The slices are views of the parent arrays.
+        """
+        key = (mode, nthreads, strategy)
+        tgs = self._task_gathers.get(key)
+        if tgs is None:
+            if strategy == "schedule":
+                view = self.mode_view(mode)
+                ranges = self.schedule(mode, nthreads).ranges
+            else:
+                view = self.linear_view()
+                ranges = balanced_ranges(np.ones(self.nnz), nthreads)
+            tgs = self._task_gathers[key] = [view.slice(lo, hi)
+                                             for lo, hi in ranges]
+        return tgs
+
     def proc_view(self, mode: int) -> _AltoProcView:
         """HiCOO-shaped stand-in for the shared-memory process backend
         (memoized per mode; released via ``procpool.release_shared``)."""
@@ -400,8 +427,7 @@ class AltoTensor(SparseTensorFormat):
         rank = factors[0].shape[1]
         out = np.zeros((self._shape[mode], rank))
         if self.nnz:
-            mttkrp_gather_chunk(self.mode_view(mode), factors, mode, out,
-                                scatter="seq")
+            mttkrp_gather_chunk(self.mode_view(mode), factors, mode, out)
         return out
 
     # ------------------------------------------------------------------
@@ -415,10 +441,12 @@ class AltoTensor(SparseTensorFormat):
         if ginds is not None:
             total += ginds.nbytes
         linear = self.__dict__.get("_linear_tg")
-        if linear is not None:
-            total += linear.sorted_modes.nbytes  # ginds/values are shared
+        if linear is not None:  # ginds/values are shared
+            total += linear.sorted_modes.nbytes + linear.reduction_nbytes()
         for tg in self._mode_views.values():
             total += tg.nbytes()
+        for tgs in self._task_gathers.values():  # slices: views + operators
+            total += sum(tg.reduction_nbytes() for tg in tgs)
         for starts in self._segments.values():
             total += starts.nbytes
         for part in self._partitions.values():
@@ -438,4 +466,5 @@ class AltoTensor(SparseTensorFormat):
         self._mode_views.clear()
         self._segments.clear()
         self._partitions.clear()
+        self._task_gathers.clear()
         self._proc_views.clear()

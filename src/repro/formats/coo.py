@@ -7,12 +7,13 @@ and the baseline every HiCOO result is normalized against.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..kernels.gather import scatter_add
+from ..kernels.gather import TaskGather, mttkrp_gather_chunk, scatter_add
 from ..obs import metrics
+from ..parallel.partition import balanced_ranges
 from ..util.bitops import (bits_for, morton_encode, morton_sort_order,
                            pack_key64, stable_argsort_u64)
 from ..util.validation import check_factors, check_indices, check_mode, check_shape
@@ -290,17 +291,47 @@ class CooTensor(SparseTensorFormat):
         For each nonzero ``x[i_1..i_N]`` accumulates
         ``x * hadamard_{m != mode} U^(m)[i_m, :]`` into row ``i_mode`` of the
         output.  This is the unsorted-COO algorithm the paper benchmarks as
-        its baseline (one gather per non-target mode, one scatter-add).
+        its baseline (one gather per non-target mode, one reduction), run
+        over the memoized :meth:`gather_view`: every output row sums its
+        contributions in input order, bitwise ``np.add.at``.
         """
         factors = check_factors(factors, self._shape)
         mode = check_mode(mode, self.nmodes)
-        rank = factors[0].shape[1]
-        out = np.zeros((self._shape[mode], rank))
-        if self.nnz == 0:
-            return out
-        acc = self.values[:, None] * _row_products(factors, self.indices, mode)
-        scatter_add(out, self.indices[:, mode], acc)
+        out = np.zeros((self._shape[mode], factors[0].shape[1]))
+        mttkrp_gather_chunk(self.gather_view(), factors, mode, out)
         return out
+
+    def gather_view(self) -> TaskGather:
+        """The whole tensor as one memoized
+        :class:`~repro.kernels.gather.TaskGather`.
+
+        It shares ``indices`` and ``values`` (no copy), so it adds only the
+        per-mode reduction operators its MTTKRPs build.  Treat it as
+        read-only, like the ``task_gather`` cache of HiCOO.
+        """
+        tg = self.__dict__.get("_gather_view")
+        if tg is None:
+            inds = self.indices
+            sorted_modes = np.array(
+                [bool(np.all(inds[1:, m] >= inds[:-1, m]))
+                 for m in range(self.nmodes)], dtype=bool)
+            tg = TaskGather(runs=((0, self.nnz),), ginds=inds,
+                            values=self.values, sorted_modes=sorted_modes)
+            self.__dict__["_gather_view"] = tg
+        return tg
+
+    def task_gathers(self, nthreads: int) -> List[TaskGather]:
+        """Equal-nnz contiguous slices of :meth:`gather_view`, one per
+        thread (memoized per ``nthreads``, so each slice builds its
+        reduction operators once)."""
+        cache = self.__dict__.setdefault("_task_gathers", {})
+        tgs = cache.get(nthreads)
+        if tgs is None:
+            view = self.gather_view()
+            tgs = cache[nthreads] = [
+                view.slice(lo, hi)
+                for lo, hi in balanced_ranges(np.ones(self.nnz), nthreads)]
+        return tgs
 
     def ttv(self, vector: np.ndarray, mode: int) -> "CooTensor":
         """Tensor-times-vector: contract ``mode`` with ``vector``.
@@ -379,14 +410,3 @@ def _sum_duplicates(indices: np.ndarray, values: np.ndarray):
     scatter_add(out_vals, group_id, values, presorted=True)
     first = np.concatenate([[0], np.flatnonzero(new_group) + 1])
     return indices[first], out_vals
-
-
-def _row_products(factors, indices, skip_mode):
-    """Hadamard product of the factor rows of every non-target mode."""
-    rank = factors[0].shape[1]
-    prod = np.ones((len(indices), rank))
-    for m, f in enumerate(factors):
-        if m == skip_mode:
-            continue
-        prod *= f[indices[:, m]]
-    return prod

@@ -15,11 +15,12 @@ storage.  Both accountings are exposed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..kernels.gather import scatter_add
+from ..kernels.gather import (RowReduction, build_row_reduction,
+                              segment_operator)
 from ..util.validation import check_factors, check_mode
 from .base import SparseTensorFormat
 from .coo import CooTensor
@@ -155,39 +156,61 @@ class CsfTensor(SparseTensorFormat):
         """
         factors = check_factors(factors, self._shape)
         mode = check_mode(mode, self.nmodes)
-        rank = factors[0].shape[1]
-        out = np.zeros((self._shape[mode], rank))
-        if self.nnz == 0:
-            return out
-
-        depth_of_mode = self.mode_order.index(mode)
-        nmodes = self.nmodes
-
-        # --- bottom-up pass: below[d] for d = target depth only is needed,
-        # but intermediate levels between leaf and target must be built.
-        below = self.values[:, None]  # leaf "below" = the value itself
-        for depth in range(nmodes - 1, depth_of_mode, -1):
-            level = self.levels[depth]
-            factor = factors[self.mode_order[depth]]
-            contrib = below * factor[level.fids]
-            parent_n = self.levels[depth - 1].nnodes
-            agg = np.zeros((parent_n, rank))
-            # nodes are stored parent-major, so parent ids are sorted
-            scatter_add(agg, level.parent, contrib, presorted=True)
-            below = agg
-
-        # --- top-down pass: above[d] down to the target depth.
-        above = np.ones((self.levels[0].nnodes, rank))
-        for depth in range(1, depth_of_mode + 1):
-            level = self.levels[depth]
-            prev = self.levels[depth - 1]
-            factor = factors[self.mode_order[depth - 1]]
-            above = above[level.parent] * factor[prev.fids[level.parent]]
-
-        target = self.levels[depth_of_mode]
-        scatter_add(out, target.fids, above * below,
-                    presorted=depth_of_mode == 0)
+        out = np.zeros((self._shape[mode], factors[0].shape[1]))
+        if self.nnz:
+            self.subtree_mttkrp(factors, mode, 0, self.levels[0].nnodes, out)
         return out
+
+    def subtree_mttkrp(self, factors, mode: int, root_lo: int, root_hi: int,
+                       out: np.ndarray) -> str:
+        """Accumulate the MTTKRP of the root subtrees ``[root_lo, root_hi)``
+        into ``out``; returns the reduction backend (``"csr"``/``"noop"``).
+
+        The tree's levels are CSR already: each bottom-up step is one
+        sparse-dense product with the level's ``fptr`` as ``indptr`` (see
+        :func:`~repro.kernels.gather.segment_operator`), each top-down step
+        a ``np.repeat`` by child counts, and the target level reduces into
+        its output rows through one memoized
+        :class:`~repro.kernels.gather.RowReduction`.  Only the rows of the
+        range's target nodes are written, so tasks over disjoint root
+        ranges may share ``out`` when the target mode is the root.  The
+        operators are memoized per root range.
+        """
+        if root_lo >= root_hi:
+            return "noop"
+        sub = self._subtree(root_lo, root_hi)
+        depth_of_mode = self.mode_order.index(mode)
+        below = None  # the leaf values, folded into the leaf operator
+        for depth in range(self.nmodes - 1, depth_of_mode, -1):
+            rows = np.take(factors[self.mode_order[depth]], sub.fids[depth],
+                           axis=0)
+            if below is not None:
+                rows *= below
+            below = sub.up[depth] @ rows
+        above = None
+        for depth in range(1, depth_of_mode + 1):
+            rows = np.take(factors[self.mode_order[depth - 1]],
+                           sub.fids[depth - 1], axis=0)
+            if above is not None:
+                rows *= above
+            above = np.repeat(rows, np.diff(sub.up[depth].indptr), axis=0)
+        if above is None or below is None:
+            acc = below if above is None else above
+        else:
+            acc = above
+            acc *= below
+        if acc is None:  # a one-mode tree: the target level is the leaf
+            acc = np.ones((len(sub.fids[depth_of_mode]), out.shape[1]))
+        sub.target(depth_of_mode).apply(out, acc)
+        return "csr"
+
+    def _subtree(self, root_lo: int, root_hi: int) -> "_Subtree":
+        cache = self.__dict__.setdefault("_subtrees", {})
+        sub = cache.get((root_lo, root_hi))
+        if sub is None:
+            sub = cache[(root_lo, root_hi)] = _Subtree(self, root_lo,
+                                                       root_hi)
+        return sub
 
     # ------------------------------------------------------------------
     # statistics
@@ -202,6 +225,46 @@ class CsfTensor(SparseTensorFormat):
         csf = self.storage_bytes()
         csf_idx = csf["fids"] + csf["fptr"]
         return coo_idx / csf_idx if csf_idx else float("inf")
+
+
+class _Subtree:
+    """Symbolic state of the CSF subtrees under one range of root nodes.
+
+    ``fids[d]`` are the depth-``d`` node ids in range (views) and ``up[d]``
+    sums depth-``d`` nodes into their depth-``d-1`` parents: a segment
+    operator over the parent level's ``fptr``, weighted by the values at
+    the leaf level.  Target-level reductions are built on first use.
+    """
+
+    def __init__(self, tensor: "CsfTensor", root_lo: int, root_hi: int):
+        levels = tensor.levels
+        los, his = [root_lo], [root_hi]
+        for depth in range(1, len(levels)):
+            fptr = levels[depth - 1].fptr
+            los.append(int(fptr[los[-1]]))
+            his.append(int(fptr[his[-1]]))
+        leaf = len(levels) - 1
+        self.fids = [level.fids[lo:hi]
+                     for level, lo, hi in zip(levels, los, his)]
+        self.values = tensor.values[los[leaf]:his[leaf]]
+        self.up = {}
+        for depth in range(1, len(levels)):
+            plo, phi = los[depth - 1], his[depth - 1]
+            fptr = levels[depth - 1].fptr[plo:phi + 1]
+            self.up[depth] = segment_operator(
+                fptr - fptr[0], self.values if depth == leaf else None)
+        self.targets: Dict[int, RowReduction] = {}
+
+    def target(self, depth: int) -> RowReduction:
+        """Memoized reduction of the depth-``depth`` nodes onto their fids
+        (root fids are sorted and distinct)."""
+        red = self.targets.get(depth)
+        if red is None:
+            leaf = len(self.fids) - 1
+            red = self.targets[depth] = build_row_reduction(
+                self.fids[depth], self.values if depth == leaf else None,
+                presorted=depth == 0)
+        return red
 
 
 def _build_levels(sorted_indices: np.ndarray, mode_order: Sequence[int]) -> List[CsfLevel]:

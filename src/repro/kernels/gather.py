@@ -1,18 +1,23 @@
-"""Precomputed gather/scatter primitives for the block-sparse kernels.
+"""Precomputed gather/reduce primitives for the sparse MTTKRP kernels.
 
-HiCOO's hot loops all have the same shape: *gather* factor rows at fused
-global coordinates ``(bind << b) + eind``, multiply, and *scatter-add* the
-result into the output.  The coordinate arithmetic is purely **symbolic** —
-it depends only on the tensor's structure, never on the factor values — so
-CP-ALS's N modes x K iterations can pay it exactly once.  This module
-provides the three pieces of that split (the taco-style symbolic/numeric
-separation; see DESIGN.md section 7):
+Every MTTKRP hot loop has the same shape: *gather* factor rows at each
+nonzero's global coordinates (for HiCOO the fused ``(bind << b) + eind``),
+multiply, and *reduce* the products into their target output rows.  Both
+the coordinates and the reduction are purely **symbolic** — they depend
+only on the tensor's structure, never on the factor values — so CP-ALS's
+N modes x K iterations can pay them exactly once.  This module provides
+the pieces of that split (the taco-style symbolic/numeric separation; see
+DESIGN.md section 7):
 
 * :class:`TaskGather` — the cached symbolic state of one thread task: fused
-  int64 gather coordinates, task-ordered values, and per-mode sortedness
-  flags (sorted scatter indices unlock the segmented-reduction backend);
-* :func:`scatter_add` — a drop-in replacement for ``np.add.at`` that picks
-  the fastest NumPy scatter backend for the input at hand;
+  int64 gather coordinates, task-ordered values, per-mode sortedness flags,
+  and one memoized :class:`RowReduction` per target mode;
+* :class:`RowReduction` — a CSR operator over the task's distinct target
+  rows whose product with the gathered rows sums every row left to right
+  in task order: one C sparse-dense product, bitwise ``np.add.at``;
+* :func:`scatter_add` — a drop-in replacement for ``np.add.at`` for
+  one-shot scatters (TTV/TTM, duplicate summing, streaming), where no
+  structure is reused;
 * run coalescing — consecutive block ids become ``(lo, hi)`` slice ranges so
   task setup is O(runs), not O(blocks).
 
@@ -24,19 +29,22 @@ memoizing entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from ..obs import metrics, trace
 
 __all__ = [
     "SCATTER_SMALL_N",
     "SCATTER_COMPILED_MIN_N",
+    "RowReduction",
     "TaskGather",
+    "build_row_reduction",
+    "segment_operator",
     "scatter_add",
-    "scatter_add_sequential",
     "choose_scatter_backend",
     "coalesce_runs",
     "runs_from_block_ids",
@@ -70,11 +78,14 @@ def scatter_add(out: np.ndarray, idx: np.ndarray, acc: np.ndarray,
     """Accumulate ``acc`` into ``out`` at rows ``idx``; returns the backend.
 
     Semantically identical to ``np.add.at(out, idx, acc)`` — duplicate
-    indices sum — but picks the fastest primitive available:
+    indices sum — but picks the fastest primitive available.  It serves
+    one-shot scatters (TTV/TTM, duplicate summing, streaming), whose
+    structure is not reused; MTTKRP tasks reduce through their memoized
+    :class:`RowReduction` instead.
 
     * ``"add_at"`` — tiny inputs (< :data:`SCATTER_SMALL_N` updates);
-    * ``"reduceat"`` — ``idx`` is non-decreasing (HiCOO tasks know this from
-      their cached sortedness flags): one segmented reduction, no sort;
+    * ``"reduceat"`` — ``idx`` is non-decreasing (callers often know this
+      from how they built ``idx``): one segmented reduction, no sort;
     * ``"bincount"`` — general case, one ``np.bincount`` per output column;
     * ``"sort_reduceat"`` — output rows vastly outnumber updates, where
       bincount's full-output walk loses to sorting the updates first;
@@ -87,8 +98,8 @@ def scatter_add(out: np.ndarray, idx: np.ndarray, acc: np.ndarray,
     scatter itself); pass ``True``/``False`` when the caller already knows.
     ``row_local=True`` restricts the choice to backends that write only the
     rows in ``idx`` — required when ``out`` is shared between concurrent
-    tasks that own disjoint row ranges (the lock-free superblock schedule):
-    bincount adds a full-length column and would race on unowned rows.
+    tasks that own disjoint row ranges: bincount adds a full-length column
+    and would race on unowned rows.
     ``out`` may be 1-D (with 1-D ``acc``) or 2-D (rows x rank).
 
     Each call increments the ``scatter.calls`` / ``scatter.updates`` /
@@ -96,12 +107,16 @@ def scatter_add(out: np.ndarray, idx: np.ndarray, acc: np.ndarray,
     compiled tiers surface as ``scatter.numba`` / ``scatter.cupy``).
     """
     backend = _scatter_add(out, idx, acc, presorted, row_local, backend)
+    _count_scatter(backend, len(idx))
+    return backend
+
+
+def _count_scatter(backend: str, n: int) -> None:
     reg = metrics.get_registry()
     if reg.enabled:
         reg.inc("scatter.calls", labels={"backend": backend})
-        reg.inc("scatter.updates", len(idx))
+        reg.inc("scatter.updates", n)
         reg.inc("scatter." + backend)
-    return backend
 
 
 def choose_scatter_backend(n: int, rows: int,
@@ -175,68 +190,6 @@ def _segment_add(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
     out[idx[starts]] += sums
 
 
-def scatter_add_sequential(out: np.ndarray, idx: np.ndarray, acc: np.ndarray,
-                           backend: str | None = None) -> str:
-    """Scatter-add with a *pinned* summation order: left-to-right in input
-    order, per output row — bitwise-identical to ``np.add.at``.
-
-    :func:`scatter_add` is free to pick ``reduceat``-family backends whose
-    pairwise reductions round differently from a sequential loop, and its
-    choice depends on ``n`` and the output shape — so tiling one input
-    stream into chunks can change the result in the last ulp.  This variant
-    only ever uses backends that accumulate each row's updates one at a
-    time in array order (``np.add.at``, per-column ``np.bincount``, or the
-    jitted sequential loop of the numba tier), which makes the result
-    invariant under any row-disjoint chunking of the input.  The ALTO
-    format pins its scatters here so every backend and thread count
-    reproduces the COO oracle bit for bit (DESIGN.md section 13).
-
-    Writes only rows in ``[idx.min(), idx.max()]``; when ``out`` is shared
-    between concurrent tasks the caller must own that whole interval (the
-    equal-nnz ALTO partition cuts at row boundaries, so it does).
-    """
-    n = len(idx)
-    if n == 0:
-        return "noop"
-    choice = "add_at"
-    if backend == "numba" and n >= SCATTER_COMPILED_MIN_N:
-        from .backends import tier_available
-
-        if tier_available("numba"):
-            choice = "numba"
-    if choice == "numba":
-        from .compiled import scatter_add_compiled
-
-        scatter_add_compiled(out, idx, acc)
-    elif n > SCATTER_SMALL_N:
-        # bincount accumulates each bin sequentially in array order — same
-        # bits as add_at, much faster — but walks the whole local row span,
-        # so fall back to add_at when the span dwarfs the update count
-        lo = int(idx.min())
-        hi = int(idx.max()) + 1
-        if hi - lo <= _SPARSE_OUT_RATIO * n:
-            choice = "bincount"
-            local = idx - lo
-            span = hi - lo
-            if acc.ndim == 1:
-                out[lo:hi] += np.bincount(local, weights=acc,
-                                          minlength=span)
-            else:
-                for r in range(acc.shape[1]):
-                    out[lo:hi, r] += np.bincount(local, weights=acc[:, r],
-                                                 minlength=span)
-        else:
-            np.add.at(out, idx, acc)
-    else:
-        np.add.at(out, idx, acc)
-    reg = metrics.get_registry()
-    if reg.enabled:
-        reg.inc("scatter.calls", labels={"backend": choice})
-        reg.inc("scatter.updates", n)
-        reg.inc("scatter." + choice)
-    return choice
-
-
 # ----------------------------------------------------------------------
 # run coalescing (O(runs) task setup)
 # ----------------------------------------------------------------------
@@ -266,36 +219,169 @@ def runs_from_block_ids(block_ids) -> List[Tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
+# memoized row reductions (the scatter side of the symbolic work)
+# ----------------------------------------------------------------------
+#: grow-only, read-only constants whose prefixes every reduction may
+#: share: the column ids of target-sorted tasks and unit weights, so such
+#: reductions allocate only ``indptr`` and ``rows``.  Each never holds
+#: more than the largest task seen.
+_SHARED = {"iota": np.arange(0, dtype=np.int32), "ones": np.ones(0)}
+
+
+def _index_dtype(n: int):
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
+def _shared_prefix(kind: str, n: int) -> np.ndarray:
+    arr = _SHARED[kind]
+    if len(arr) < n:
+        size = max(n, 2 * len(arr))
+        arr = (np.arange(size, dtype=_index_dtype(size)) if kind == "iota"
+               else np.ones(size))
+        arr.flags.writeable = False
+        _SHARED[kind] = arr
+    return arr[:n]
+
+
+def segment_operator(indptr: np.ndarray, weights: np.ndarray | None = None,
+                     cols: np.ndarray | None = None) -> sparse.csr_matrix:
+    """CSR operator whose row ``k`` sums input rows ``cols[indptr[k]:
+    indptr[k+1]]`` left to right, weighted by ``weights``.
+
+    ``cols`` defaults to the identity (consecutive segments of the input)
+    and ``weights`` to unit weights; both defaults are prefixes of shared
+    read-only arrays, so only ``indptr`` is new.  A CSF level is such an
+    operator as stored: its ``fptr`` is the ``indptr``.
+    """
+    n = int(indptr[-1])
+    if cols is None:
+        cols = _shared_prefix("iota", n)
+    if weights is None:
+        weights = _shared_prefix("ones", n)
+    indptr = np.asarray(indptr).astype(cols.dtype, copy=False)
+    return sparse.csr_matrix((weights, cols, indptr),
+                             shape=(len(indptr) - 1, n))
+
+
+@dataclass(frozen=True)
+class RowReduction:
+    """The sum of one task's nonzero contributions into its target rows.
+
+    ``op`` is a CSR matrix with one row per distinct target row (``rows``,
+    ascending) and one column per nonzero of the task.  Each row's column
+    ids ascend in task order and its data are the nonzero weights, so
+    ``op @ acc`` — one C sparse-dense product — sums every target row
+    left to right in task order: bitwise ``np.add.at(out, idx, w * acc)``
+    on a zeroed ``out``.  Only ``rows`` are written, so tasks that own
+    disjoint rows may share one output.
+    """
+
+    rows: np.ndarray
+    op: sparse.csr_matrix
+    #: bytes this reduction allocated; shared column ids and weights that
+    #: are views of the task's own arrays are not counted
+    owned_bytes: int
+
+    def apply(self, out: np.ndarray, acc: np.ndarray) -> None:
+        """``out[rows] += op @ acc`` (``acc`` is (nnz, R), task order)."""
+        out[self.rows] += self.op @ acc
+        _count_scatter("csr", self.op.shape[1])
+
+
+def build_row_reduction(idx: np.ndarray, weights: np.ndarray | None = None,
+                        presorted: bool = False) -> RowReduction:
+    """Build the :class:`RowReduction` of updates at rows ``idx`` (task
+    order) weighted by ``weights`` (unit weights when ``None``).
+
+    A target-sorted task (``presorted``, e.g. an ALTO mode view or the root
+    level of a CSF tree) reuses ``weights`` and the shared column ids, so
+    only ``indptr`` and ``rows`` are new.  Otherwise one stable argsort
+    orders the columns by target row — ties keep task order — and the
+    permuted weights are stored with int32 column ids.
+    """
+    n = len(idx)
+    cols = None
+    owned = 0
+    if not presorted:
+        order = np.argsort(idx, kind="stable")
+        idx = idx[order]
+        cols = order.astype(_index_dtype(n))
+        owned += cols.nbytes
+        if weights is not None:
+            weights = weights[order]
+            owned += weights.nbytes
+    starts = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 1))
+    op = segment_operator(np.append(starts, n), weights, cols)
+    rows = np.asarray(idx[starts], dtype=np.intp)
+    return RowReduction(rows=rows, op=op,
+                        owned_bytes=owned + rows.nbytes + op.indptr.nbytes)
+
+
+# ----------------------------------------------------------------------
 # fused gather arrays
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TaskGather:
-    """Cached symbolic state of one thread task over a HiCOO tensor.
+    """Cached symbolic state of one thread task over a sparse tensor.
 
     Attributes
     ----------
-    runs : tuple of (blk_lo, blk_hi) — the block runs this task owns.
-    ginds : (nnz, N) int64 — fused global coordinates
-        ``(binds[blk] << block_bits) + einds``, task order.
+    runs : tuple of (lo, hi) — the block (or nonzero) runs this task owns.
+    ginds : (nnz, N) int64 — global coordinates, task order (for HiCOO the
+        fused ``(binds[blk] << block_bits) + einds``).
     values : (nnz,) float64 — the nonzero values in the same order (constant
         per tensor, cached so the numeric pass is slice-free).
     sorted_modes : (N,) bool — whether ``ginds[:, m]`` is non-decreasing;
-        a sorted scatter mode takes the segmented-reduction backend.
+        a sorted target mode builds its reduction without a sort or copy.
+
+    The per-mode :class:`RowReduction` operators are built on first use by
+    :meth:`reduction` and live as long as the task.
     """
 
     runs: Tuple[Tuple[int, int], ...]
     ginds: np.ndarray
     values: np.ndarray
     sorted_modes: np.ndarray
+    _reductions: Dict[int, RowReduction] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
         return len(self.values)
 
+    def reduction(self, mode: int) -> RowReduction:
+        """Memoized :class:`RowReduction` of this task onto its
+        mode-``mode`` rows."""
+        red = self._reductions.get(mode)
+        if red is None:
+            built = build_row_reduction(self.ginds[:, mode], self.values,
+                                        bool(self.sorted_modes[mode]))
+            # concurrent callers may race to build it; one copy is kept
+            red = self._reductions.setdefault(mode, built)
+            if red is built:
+                metrics.inc("gather.reduction_builds")
+                metrics.inc("gather.reduction_bytes", red.owned_bytes)
+        return red
+
+    def slice(self, lo: int, hi: int) -> "TaskGather":
+        """Nonzeros ``[lo, hi)`` as a task of their own.
+
+        The arrays are views (no copy) and the sortedness flags carry over
+        (a slice of a sorted column is sorted; a flag that stays ``False``
+        only costs the slice a sort when its reduction is built).
+        """
+        return TaskGather(runs=((lo, hi),), ginds=self.ginds[lo:hi],
+                          values=self.values[lo:hi],
+                          sorted_modes=self.sorted_modes)
+
+    def reduction_nbytes(self) -> int:
+        """Bytes held by the memoized reduction operators."""
+        return sum(r.owned_bytes for r in self._reductions.values())
+
     def nbytes(self) -> int:
-        """Cache footprint of the precomputed arrays."""
+        """Cache footprint of the precomputed arrays and operators."""
         return (self.ginds.nbytes + self.values.nbytes
-                + self.sorted_modes.nbytes)
+                + self.sorted_modes.nbytes + self.reduction_nbytes())
 
 
 def build_task_gather(tensor, runs: Sequence[Tuple[int, int]]) -> TaskGather:
@@ -336,52 +422,50 @@ def build_task_gather(tensor, runs: Sequence[Tuple[int, int]]) -> TaskGather:
 # numeric MTTKRP pass over a cached gather
 # ----------------------------------------------------------------------
 def mttkrp_gather_chunk(tg: TaskGather, factors, mode: int, out: np.ndarray,
-                        row_local: bool = False,
-                        backend: str | None = None,
-                        scatter: str = "auto") -> str:
-    """Pure-numeric MTTKRP of one task: gather, multiply, scatter-add.
+                        backend: str | None = None) -> str:
+    """Pure-numeric MTTKRP of one task: gather, multiply, reduce.
 
-    All symbolic work lives in ``tg``; this touches only factor values.
-    Returns the scatter backend used (recorded in :class:`MttkrpRun`).
-    ``row_local`` is forwarded to :func:`scatter_add` (set it when ``out``
-    is shared between concurrently running tasks); ``backend`` requests a
-    compiled scatter tier for large-enough updates (see
-    :func:`choose_scatter_backend`).  ``scatter="seq"`` pins the
-    chunk-invariant left-to-right scatter of
-    :func:`scatter_add_sequential` (the ALTO bit-reproducibility
-    contract) instead of the adaptive ladder.
+    All symbolic work lives in ``tg``: ``np.take`` gathers at its cached
+    coordinates, a Hadamard product, then its memoized reduction for
+    ``mode`` (``out[rows] += op @ acc``, see :class:`RowReduction`).  Every
+    output row therefore sums its contributions left to right in task
+    order — bitwise ``np.add.at`` — and only the task's own rows are
+    written, so row-disjoint tasks may share ``out``.  ``backend="numba"``
+    requests the jitted sequential scatter (the same summation order) for
+    tasks past :data:`SCATTER_COMPILED_MIN_N` when the tier is installed.
+    Returns the reduction backend used: ``"csr"``, ``"numba"`` or
+    ``"noop"`` (recorded in :class:`MttkrpRun`).
     """
     if tg.nnz == 0:
         return "noop"
     if trace.enabled():
         with trace.span("gather.chunk", mode=mode, nnz=tg.nnz):
-            used = _mttkrp_gather_chunk(tg, factors, mode, out, row_local,
-                                        backend, scatter)
+            used = _mttkrp_gather_chunk(tg, factors, mode, out, backend)
     else:
-        used = _mttkrp_gather_chunk(tg, factors, mode, out, row_local,
-                                    backend, scatter)
+        used = _mttkrp_gather_chunk(tg, factors, mode, out, backend)
     metrics.inc("mttkrp.nnz_processed", tg.nnz)
     return used
 
 
-def _mttkrp_gather_chunk(tg, factors, mode, out, row_local, backend=None,
-                         scatter="auto"):
+def _mttkrp_gather_chunk(tg, factors, mode, out, backend):
     acc = None
     for m, f in enumerate(factors):
         if m == mode:
             continue
-        rows = f[tg.ginds[:, m]]
+        rows = np.take(f, tg.ginds[:, m], axis=0)
         if acc is None:
             acc = rows  # fresh gather output — safe to scale in place below
         else:
             acc *= rows
     if acc is None:
-        acc = np.repeat(tg.values[:, None], out.shape[1], axis=1)
-    else:
+        acc = np.ones((tg.nnz, out.shape[1]))
+    if backend == "numba" and choose_scatter_backend(
+            tg.nnz, out.shape[0], backend=backend) == "numba":
+        from .compiled import scatter_add_compiled
+
         acc *= tg.values[:, None]
-    if scatter == "seq":
-        return scatter_add_sequential(out, tg.ginds[:, mode], acc,
-                                      backend=backend)
-    return scatter_add(out, tg.ginds[:, mode], acc,
-                       presorted=bool(tg.sorted_modes[mode]),
-                       row_local=row_local, backend=backend)
+        scatter_add_compiled(out, tg.ginds[:, mode], acc)
+        _count_scatter("numba", tg.nnz)
+        return "numba"
+    tg.reduction(mode).apply(out, acc)
+    return "csr"

@@ -39,7 +39,7 @@ from ..parallel.partition import balanced_ranges
 from ..parallel.privatize import PrivateBuffers
 from ..util.validation import check_factors, check_mode
 from .backends import resolve_kernel_backend
-from .gather import mttkrp_gather_chunk, scatter_add
+from .gather import mttkrp_gather_chunk
 
 __all__ = ["MttkrpRun", "mttkrp", "mttkrp_parallel"]
 
@@ -56,8 +56,9 @@ class MttkrpRun:
     reduction_flops: int = 0
     schedule: Optional[Schedule] = None
     report: ExecutionReport = field(default_factory=ExecutionReport)
-    #: scatter backends the tasks used (sorted, deduplicated) — see
-    #: :func:`repro.kernels.gather.scatter_add`; feeds the analysis layer
+    #: reduction backends the tasks used (sorted, deduplicated): ``"csr"``
+    #: (:class:`repro.kernels.gather.RowReduction`) or a compiled tier;
+    #: feeds the analysis layer
     scatter_backends: tuple = ()
 
     def makespan_nnz(self) -> int:
@@ -222,17 +223,6 @@ def _observe_blocks(gathers) -> None:
 # ----------------------------------------------------------------------
 # COO
 # ----------------------------------------------------------------------
-def _coo_chunk(indices, values, factors, mode, out):
-    rank = out.shape[1]
-    if not len(values):
-        return "noop"
-    acc = np.repeat(values[:, None], rank, axis=1)
-    for m, f in enumerate(factors):
-        if m != mode:
-            acc *= f[indices[:, m]]
-    return scatter_add(out, indices[:, mode], acc)
-
-
 def _parallel_coo(tensor, factors, mode, nthreads, strategy, real_threads):
     if strategy == "auto":
         strategy = "privatize"
@@ -240,19 +230,18 @@ def _parallel_coo(tensor, factors, mode, nthreads, strategy, real_threads):
         raise ValueError(f"COO supports 'privatize' or 'atomic', got {strategy!r}")
     rank = factors[0].shape[1]
     rows = tensor.shape[mode]
-    ranges = balanced_ranges(np.ones(tensor.nnz), nthreads)
-    thread_nnz = np.array([hi - lo for lo, hi in ranges], dtype=np.int64)
+    gathers = tensor.task_gathers(nthreads)
+    thread_nnz = np.array([tg.nnz for tg in gathers], dtype=np.int64)
 
     if strategy == "privatize":
         bufs = PrivateBuffers.allocate(nthreads, rows, rank)
 
-        def make_task(tid, lo, hi):
+        def make_task(tid, tg):
             def task():
-                return _coo_chunk(tensor.indices[lo:hi], tensor.values[lo:hi],
-                                  factors, mode, bufs.view(tid))
+                return mttkrp_gather_chunk(tg, factors, mode, bufs.view(tid))
             return task
 
-        tasks = [make_task(t, lo, hi) for t, (lo, hi) in enumerate(ranges)]
+        tasks = [make_task(t, tg) for t, tg in enumerate(gathers)]
         # private buffers make concurrent writes race-free, so the caller's
         # thread mode is honored; the reduction always runs after the tasks
         report = run_tasks(tasks, real_threads=real_threads)
@@ -269,13 +258,12 @@ def _parallel_coo(tensor, factors, mode, nthreads, strategy, real_threads):
     # would pay is charged analytically by the machine model.
     out = np.zeros((rows, rank))
 
-    def make_task(lo, hi):
+    def make_task(tg):
         def task():
-            return _coo_chunk(tensor.indices[lo:hi], tensor.values[lo:hi],
-                              factors, mode, out)
+            return mttkrp_gather_chunk(tg, factors, mode, out)
         return task
 
-    tasks = [make_task(lo, hi) for lo, hi in ranges]
+    tasks = [make_task(tg) for tg in gathers]
     report = run_tasks(tasks, real_threads=False)
     return MttkrpRun(output=out, strategy="atomic", nthreads=nthreads,
                      thread_nnz=thread_nnz,
@@ -287,35 +275,6 @@ def _parallel_coo(tensor, factors, mode, nthreads, strategy, real_threads):
 # ----------------------------------------------------------------------
 # HiCOO
 # ----------------------------------------------------------------------
-def _hicoo_block_range_chunk(tensor, block_ids, factors, mode, out):
-    """Legacy per-block chunk: re-materializes index ranges on every call.
-
-    Kept as the reference baseline the benchmarks and the CI regression
-    guard compare the cached gather path against; the production paths go
-    through :meth:`HicooTensor.task_gather` + :func:`mttkrp_gather_chunk`.
-    """
-    if not len(block_ids):
-        return
-    rank = out.shape[1]
-    shift = tensor.block_bits
-    # gather the nonzero ranges of all assigned blocks
-    pieces_i = []
-    pieces_blk = []
-    for blk in block_ids:
-        lo, hi = int(tensor.bptr[blk]), int(tensor.bptr[blk + 1])
-        pieces_i.append(np.arange(lo, hi))
-        pieces_blk.append(np.full(hi - lo, blk, dtype=np.int64))
-    nz = np.concatenate(pieces_i)
-    blk_of = np.concatenate(pieces_blk)
-    base = tensor.binds[blk_of].astype(np.int64) << shift
-    ginds = base + tensor.einds[nz].astype(np.int64)
-    acc = np.repeat(tensor.values[nz, None], rank, axis=1)
-    for m, f in enumerate(factors):
-        if m != mode:
-            acc *= f[ginds[:, m]]
-    np.add.at(out, ginds[:, mode], acc)
-
-
 def _parallel_hicoo(tensor, factors, mode, nthreads, strategy,
                     superblock_bits, real_threads):
     rank = factors[0].shape[1]
@@ -341,8 +300,7 @@ def _parallel_hicoo(tensor, factors, mode, nthreads, strategy,
 
         def make_task(tg):
             def task():
-                return mttkrp_gather_chunk(tg, factors, mode, out,
-                                           row_local=True)
+                return mttkrp_gather_chunk(tg, factors, mode, out)
             return task
 
         tasks = [make_task(tg) for tg in gathers]
@@ -395,8 +353,7 @@ def _parallel_hicoo_planned(tensor, factors, mode, plan, real_threads):
 
         def make_task(tg):
             def task():
-                return mttkrp_gather_chunk(tg, factors, mode, out,
-                                           row_local=True)
+                return mttkrp_gather_chunk(tg, factors, mode, out)
             return task
 
         tasks = [make_task(tg) for tg in gathers]
@@ -531,19 +488,6 @@ def _degrade_hicoo(tensor, factors, mode, nthreads, strategy,
 # ----------------------------------------------------------------------
 # ALTO
 # ----------------------------------------------------------------------
-def _slice_gather(tg, lo: int, hi: int):
-    """Contiguous slice of a mode view as a task-sized :class:`TaskGather`.
-
-    The arrays are views (no copy); the parent's sortedness flags carry
-    over (a slice of a sorted column is sorted — only the target-mode flag,
-    which is always ``True`` for a mode view, affects the scatter choice).
-    """
-    from .gather import TaskGather
-
-    return TaskGather(runs=((lo, hi),), ginds=tg.ginds[lo:hi],
-                      values=tg.values[lo:hi], sorted_modes=tg.sorted_modes)
-
-
 def _parallel_alto(tensor, factors, mode, nthreads, strategy,
                    real_threads=False, exec_backend=None):
     """Parallel MTTKRP over ALTO's linearized keys.
@@ -558,7 +502,9 @@ def _parallel_alto(tensor, factors, mode, nthreads, strategy,
       buffers plus one reduction (reassociates row sums; ULP-close only).
 
     ``exec_backend="numba"`` routes the scatters through the compiled tier
-    (same tasks, jitted scatter-adds past the crossover).
+    (same tasks, jitted scatter-adds past the crossover).  Task gathers are
+    memoized on the tensor (:meth:`AltoTensor.task_gathers`), so their
+    reduction operators are built once per (mode, nthreads, strategy).
     """
     if strategy == "auto":
         strategy = "schedule"
@@ -568,42 +514,33 @@ def _parallel_alto(tensor, factors, mode, nthreads, strategy,
     rank = factors[0].shape[1]
     rows = tensor.shape[mode]
     scatter_backend = exec_backend if exec_backend == "numba" else None
+    gathers = tensor.task_gathers(mode, nthreads, strategy)
+    _observe_blocks(gathers)
+    thread_nnz = np.array([tg.nnz for tg in gathers], dtype=np.int64)
 
     if strategy == "schedule":
-        part = tensor.schedule(mode, nthreads)
-        view = tensor.mode_view(mode)
-        gathers = [_slice_gather(view, lo, hi) for lo, hi in part.ranges]
-        _observe_blocks(gathers)
         out = np.zeros((rows, rank))
 
         def make_task(tg):
             def task():
                 return mttkrp_gather_chunk(tg, factors, mode, out,
-                                           row_local=True,
-                                           backend=scatter_backend,
-                                           scatter="seq")
+                                           backend=scatter_backend)
             return task
 
         tasks = [make_task(tg) for tg in gathers]
         report = run_tasks(tasks, real_threads=real_threads,
                            backend=exec_backend)
         return MttkrpRun(output=out, strategy="schedule", nthreads=nthreads,
-                         thread_nnz=part.thread_nnz.copy(), report=report,
+                         thread_nnz=thread_nnz, report=report,
                          scatter_backends=_backends_of(report))
 
     # privatize: equal-nnz chunks of the linearized order, private buffers
-    view = tensor.linear_view()
-    ranges = balanced_ranges(np.ones(tensor.nnz), nthreads)
-    thread_nnz = np.array([hi - lo for lo, hi in ranges], dtype=np.int64)
-    gathers = [_slice_gather(view, lo, hi) for lo, hi in ranges]
-    _observe_blocks(gathers)
     bufs = PrivateBuffers.allocate(nthreads, rows, rank)
 
     def make_task(tid, tg):
         def task():
             return mttkrp_gather_chunk(tg, factors, mode, bufs.view(tid),
-                                       backend=scatter_backend,
-                                       scatter="seq")
+                                       backend=scatter_backend)
         return task
 
     tasks = [make_task(t, tg) for t, tg in enumerate(gathers)]
@@ -695,11 +632,8 @@ def _parallel_csf(tensor, factors, mode, nthreads, strategy, real_threads):
 
     def make_task(tid, lo, hi):
         def task():
-            if lo >= hi:
-                return "noop"
             target = out if shared else bufs.view(tid)
-            return _csf_subtree_mttkrp(tensor, factors, mode, lo, hi, target,
-                                       row_local=shared)
+            return tensor.subtree_mttkrp(factors, mode, lo, hi, target)
         return task
 
     tasks = [make_task(t, lo, hi) for t, (lo, hi) in enumerate(ranges)]
@@ -721,59 +655,7 @@ def _parallel_csf(tensor, factors, mode, nthreads, strategy, real_threads):
 
 def _root_subtree_nnz(tensor: CsfTensor) -> np.ndarray:
     """Leaf (nonzero) count under each root node."""
-    counts = np.ones(tensor.levels[-1].nnodes, dtype=np.int64)
-    for depth in range(len(tensor.levels) - 1, 0, -1):
-        parent = tensor.levels[depth].parent
-        up = np.zeros(tensor.levels[depth - 1].nnodes, dtype=np.int64)
-        # fiber-tree nodes are stored parent-major, so parent is sorted
-        scatter_add(up, parent, counts, presorted=True)
-        counts = up
-    return counts
-
-
-def _csf_subtree_mttkrp(tensor, factors, mode, root_lo, root_hi, out,
-                        row_local=False):
-    """Run the two-pass tree MTTKRP restricted to root nodes [lo, hi).
-
-    Returns the scatter backend of the final output scatter.  ``row_local``
-    must be set when ``out`` is shared between concurrent subtree tasks
-    (root-mode target): the tasks' fids are disjoint, so row-local scatter
-    backends are race-free.
-    """
-    nmodes = tensor.nmodes
-    depth_of_mode = tensor.mode_order.index(mode)
-    # per-level node ranges covered by the root slice
-    los, his = [root_lo], [root_hi]
-    for depth in range(1, nmodes):
-        fptr = tensor.levels[depth - 1].fptr
-        los.append(int(fptr[los[-1]]))
-        his.append(int(fptr[his[-1]]))
-
-    values = tensor.values[los[-1]:his[-1]]
-    below = values[:, None]
-    rank = out.shape[1]
-    for depth in range(nmodes - 1, depth_of_mode, -1):
-        level = tensor.levels[depth]
-        lo, hi = los[depth], his[depth]
-        factor = factors[tensor.mode_order[depth]]
-        contrib = below * factor[level.fids[lo:hi]]
-        plo, phi = los[depth - 1], his[depth - 1]
-        agg = np.zeros((phi - plo, rank))
-        # nodes are stored parent-major: parent ids are non-decreasing
-        scatter_add(agg, level.parent[lo:hi] - plo, contrib, presorted=True)
-        below = agg
-
-    above = np.ones((his[0] - los[0], rank))
-    for depth in range(1, depth_of_mode + 1):
-        level = tensor.levels[depth]
-        prev = tensor.levels[depth - 1]
-        lo, hi = los[depth], his[depth]
-        plo = los[depth - 1]
-        parent = level.parent[lo:hi] - plo
-        factor = factors[tensor.mode_order[depth - 1]]
-        above = above[parent] * factor[prev.fids[los[depth - 1]:his[depth - 1]]][parent]
-
-    target = tensor.levels[depth_of_mode]
-    lo, hi = los[depth_of_mode], his[depth_of_mode]
-    return scatter_add(out, target.fids[lo:hi], above * below,
-                       row_local=row_local)
+    bounds = np.arange(tensor.levels[0].nnodes + 1)
+    for level in tensor.levels[:-1]:  # compose the levels' child ranges
+        bounds = level.fptr[bounds]
+    return np.diff(bounds)

@@ -290,7 +290,7 @@ def _worker_main(conn, worker_id: int) -> None:
                     time.sleep(directive.seconds)
             if kind == "mttkrp":
                 (_, _, handle, factor_specs, mode, runs,
-                 out_spec, row_local, scatter, want_trace, reset) = msg
+                 out_spec, row_local, want_trace, reset) = msg
                 if want_trace:
                     trace.enable(clear=True)
                 t0 = time.perf_counter()
@@ -307,13 +307,10 @@ def _worker_main(conn, worker_id: int) -> None:
                         # them disjoint across tasks); privatized tasks own
                         # their whole slab.
                         if row_local:
-                            if tg.nnz:
-                                out[np.unique(tg.ginds[:, mode])] = 0.0
+                            out[tg.reduction(mode).rows] = 0.0
                         else:
                             out[...] = 0.0
-                    backend = mttkrp_gather_chunk(tg, factors, mode, out,
-                                                  row_local=row_local,
-                                                  scatter=scatter)
+                    backend = mttkrp_gather_chunk(tg, factors, mode, out)
                 elapsed = time.perf_counter() - t0
                 events = None
                 if want_trace:
@@ -702,8 +699,7 @@ class SharedMttkrpSession:
     # -- execution -----------------------------------------------------
     def run_mode(self, pool: ProcPool, factors: Sequence[np.ndarray],
                  mode: int, thread_runs, strategy: str,
-                 timeout: Optional[float] = None, fault_config=None,
-                 scatter: str = "auto"):
+                 timeout: Optional[float] = None, fault_config=None):
         """One parallel MTTKRP over pre-partitioned block runs.
 
         Returns ``(output, report, backends)`` where ``output`` is an owned
@@ -728,16 +724,14 @@ class SharedMttkrpSession:
             with self._exec_lock, pool.region_lock:
                 return self._run_mode_locked(
                     pool, factors, mode, thread_runs, strategy,
-                    timeout=timeout, fault_config=fault_config,
-                    scatter=scatter)
+                    timeout=timeout, fault_config=fault_config)
         finally:
             self.release()
 
     def _run_mode_locked(self, pool: ProcPool,
                          factors: Sequence[np.ndarray],
                          mode: int, thread_runs, strategy: str,
-                         timeout: Optional[float] = None, fault_config=None,
-                         scatter: str = "auto"):
+                         timeout: Optional[float] = None, fault_config=None):
         rank = factors[0].shape[1]
         self.ensure_rank(rank)
         rows = self.shape[mode]
@@ -765,7 +759,7 @@ class SharedMttkrpSession:
             def build(reset: bool) -> tuple:
                 return ("mttkrp", t, self.handle, self.factor_specs, mode,
                         tuple(tuple(r) for r in runs), target_spec,
-                        row_local, scatter, want_trace, reset)
+                        row_local, want_trace, reset)
             return build
 
         builders = {t: msg_builder(t, runs, targets[t][0])
@@ -1036,7 +1030,7 @@ def mttkrp_process_alto(tensor, factors: Sequence[np.ndarray], mode: int,
         session = _session_for(view, nworkers)
         output, report, backends = session.run_mode(
             pool, factors, mode, thread_runs, strategy,
-            timeout=timeout, fault_config=fault_config, scatter="seq")
+            timeout=timeout, fault_config=fault_config)
     metrics.inc("procpool.calls")
 
     reduction_flops = 0

@@ -4,9 +4,10 @@ The differential guarantee of ``tests/test_serve.py`` rests on one fact:
 the daemon and the test oracle call the *same* function —
 :func:`run_job` — differing only in the execution backend.  For HiCOO and
 ALTO the parallel paths use the lock-free ``schedule`` strategy, whose
-``process``/``thread``/``sim`` outputs are bit-identical by the PR-4/PR-7
-contracts (ALTO additionally pins ``scatter="seq"``), so a concurrent,
-fault-injected daemon answer must equal a fresh sequential
+``process``/``thread``/``sim`` outputs are bit-identical to the format's
+sequential kernel (every task reduces its own rows left to right in task
+order), so a concurrent, fault-injected daemon answer must equal a fresh
+sequential
 (``backend="sim"``) execution bit for bit.  COO and CSF jobs always run
 the sequential kernel, which is trivially deterministic.
 

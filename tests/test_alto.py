@@ -117,6 +117,38 @@ def test_alto_storage_and_cache_accounting():
     assert alto.cache_nbytes() == 0
 
 
+@pytest.mark.parametrize("strategy", ["schedule", "privatize"])
+def test_alto_parallel_tasks_and_operators_survive_between_calls(strategy):
+    from repro.kernels.mttkrp import mttkrp_parallel
+    from repro.obs import metrics
+
+    coo = make_random_coo((40, 30, 20), 800, seed=9)
+    alto = AltoTensor(coo)
+    rng = np.random.default_rng(9)
+    factors = [rng.random((s, 4)) for s in coo.shape]
+    first = mttkrp_parallel(alto, factors, 1, 3, strategy=strategy).output
+    tasks = alto.task_gathers(1, 3, strategy)
+    assert alto.task_gathers(1, 3, strategy) is tasks
+    cached = alto.cache_nbytes()
+    was_enabled = metrics.enabled()
+    metrics.enable()
+    try:
+        builds = metrics.value("gather.reduction_builds")
+        csr = metrics.value("scatter.csr")
+        again = mttkrp_parallel(alto, factors, 1, 3, strategy=strategy)
+        assert metrics.value("gather.reduction_builds") == builds
+        assert metrics.value("scatter.csr") == csr + sum(
+            1 for tg in tasks if tg.nnz)
+    finally:
+        if not was_enabled:
+            metrics.disable()
+    assert np.array_equal(again.output, first)
+    assert alto.cache_nbytes() == cached
+    assert cached > sum(tg.nbytes() for tg in alto._mode_views.values())
+    alto.clear_cache()
+    assert alto.cache_nbytes() == 0
+
+
 # ----------------------------------------------------------------------
 # equal-nnz partitioning: row-disjoint, load-balanced
 # ----------------------------------------------------------------------

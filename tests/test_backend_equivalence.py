@@ -2,17 +2,21 @@
 oracle.
 
 Randomized tensors (orders 3-5; uniform, skewed, and hyper-sparse
-patterns) x modes x block bits x thread/worker counts, checked as:
+patterns) x modes x block bits x thread/worker counts, plus the deli,
+uber and nell1 registry analogs, checked as:
 
-* ``sim`` and ``thread`` backends vs. the sequential oracle;
-* the ``process`` backend vs. the ``sim`` backend — **bit-identical**:
-  both execute exactly the same per-task gather/multiply/scatter chunks,
-  so any drift means the shared-memory path corrupted structure or used a
-  different partition;
-* every backend vs. the sequential oracle — within a tight ULP budget on
-  positive-valued tensors (different scatter-add backends may reduce a
-  row's contributions in a different association order, which is the only
-  permitted difference; privatized paths add one cross-worker reduction).
+* every ``"schedule"`` run — HiCOO on ``sim``, ``thread`` and ``process``
+  at 2, 3 and 5 threads, ALTO on every backend — is **bit-identical** to
+  its format's sequential kernel: each task owns whole output rows and
+  sums them through its memoized CSR reduction, left to right in task
+  order, exactly as the sequential kernel does;
+* the sequential COO and ALTO kernels are **bit-identical** to the
+  ``np.add.at`` oracle in COO input order on every mode;
+* ``"privatize"`` runs (one extra cross-worker sum) and the CSF tree
+  kernel (its level sums group the terms differently) stay within a
+  tight ULP budget of the oracle on positive-valued tensors;
+* the ``process`` backend vs. the ``sim`` backend — bit-identical for
+  both strategies (same partition, same per-task kernels).
 
 The suite counts every (tensor, mode, backend, strategy) comparison it ran
 and asserts the total is >= 200, so the coverage floor of the acceptance
@@ -25,8 +29,10 @@ import numpy as np
 import pytest
 
 from repro.core.hicoo import HicooTensor
+from repro.data import registry
 from repro.formats.alto import AltoTensor
 from repro.formats.coo import CooTensor
+from repro.formats.csf import CsfTensor
 from repro.kernels.backends import tier_available, tier_reason
 from repro.kernels.mttkrp import mttkrp, mttkrp_parallel
 from repro.kernels.plan import plan_mttkrp
@@ -40,13 +46,12 @@ COMPILED_TIERS = [
     for t in ("numba", "cupy")
 ]
 
-#: ULP budget for paths that reassociate row reductions: the oracle may
-#: accumulate a row with sequential ``bincount`` while a parallel task uses
-#: pairwise ``add.reduceat``, and privatized runs add one cross-worker sum.
-#: Reassociating a k-term all-positive sum perturbs the result by O(k) ULP
-#: at worst; with <= ~100 contributions per row the observed worst case
-#: across the seeds below is 7 ULP.  Bitwise identity is still asserted
-#: where it is guaranteed (process vs. sim: identical partitions/kernels).
+#: ULP budget for the paths that reassociate row reductions: privatized
+#: runs add one cross-worker sum, and the CSF tree sums each row's terms
+#: grouped by fiber.  Reassociating a k-term all-positive sum perturbs the
+#: result by O(k) ULP at worst; with <= ~100 contributions per row the
+#: observed worst case across the seeds below is 7 ULP.  Every other path
+#: is asserted bitwise.
 MAX_ULP = 8.0
 
 #: running count of executed comparisons (asserted >= 200 at the end)
@@ -96,6 +101,21 @@ def _check_against_oracle(out: np.ndarray, oracle: np.ndarray, label: str):
     CASES["count"] += 1
 
 
+def _check_bitwise(out: np.ndarray, oracle: np.ndarray, label: str):
+    assert out.shape == oracle.shape, label
+    assert np.array_equal(out, oracle), (
+        f"{label}: diverged bitwise ({_ulp_diff(out, oracle):.1f} ULP)")
+    CASES["count"] += 1
+
+
+def _check_run(run, oracle: np.ndarray, label: str):
+    """Schedule runs are bitwise; privatized runs get the ULP budget."""
+    if run.strategy == "schedule":
+        _check_bitwise(run.output, oracle, f"{label} {run.strategy}")
+    else:
+        _check_against_oracle(run.output, oracle, f"{label} {run.strategy}")
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _procpool_teardown():
     yield
@@ -120,9 +140,8 @@ def test_sim_and_thread_match_oracle(seed):
             for strategy in ("schedule", "privatize"):
                 run = mttkrp_parallel(hic, factors, mode, nthreads,
                                       strategy=strategy, backend=backend)
-                _check_against_oracle(
-                    run.output, oracle,
-                    f"seed={seed} mode={mode} {backend}/{strategy}")
+                assert run.strategy == strategy
+                _check_run(run, oracle, f"seed={seed} mode={mode} {backend}")
 
 
 # ----------------------------------------------------------------------
@@ -152,9 +171,7 @@ def test_process_backend_equivalence(seed):
                     f"seed={seed} mode={mode} {strategy}: process backend "
                     "diverged bitwise from the sim backend")
                 CASES["count"] += 1
-                _check_against_oracle(
-                    proc.output, oracle,
-                    f"seed={seed} mode={mode} process/{strategy}")
+                _check_run(proc, oracle, f"seed={seed} mode={mode} process")
                 assert proc.report.backend == "process"
                 assert proc.report.nthreads == nworkers
                 assert int(proc.thread_nnz.sum()) == coo.nnz
@@ -175,9 +192,8 @@ def test_process_backend_auto_strategy_and_warm_calls(seed):
             for repeat in range(2):  # second call exercises warm caches
                 run = mttkrp_parallel(hic, factors, mode, 2,
                                       backend="process")
-                _check_against_oracle(
-                    run.output, oracle,
-                    f"seed={seed} mode={mode} auto repeat={repeat}")
+                _check_run(run, oracle,
+                           f"seed={seed} mode={mode} auto repeat={repeat}")
     finally:
         procpool.release_shared(hic)
 
@@ -203,7 +219,31 @@ def test_process_backend_more_workers_than_blocks():
     oracle = mttkrp(hic, factors, 0)
     try:
         run = mttkrp_parallel(hic, factors, 0, 6, backend="process")
-        _check_against_oracle(run.output, oracle, "overprovisioned workers")
+        _check_run(run, oracle, "overprovisioned workers")
+    finally:
+        procpool.release_shared(hic)
+
+
+@pytest.mark.parametrize("name", ["deli", "uber", "nell1"])
+def test_hicoo_schedule_bitwise_on_registry_analogs(name):
+    """The paper's regimes: power-law (deli, nell1) and clustered (uber)
+    analogs, every mode, schedule on sim/thread/process at 2, 3 and 5
+    threads — all bitwise equal to the sequential HiCOO kernel."""
+    hic = HicooTensor(registry.load(name, scale=0.1))
+    rng = np.random.default_rng(11)
+    factors = [rng.random((s, 8)) + 0.1 for s in hic.shape]
+    try:
+        for nthreads in (2, 3, 5):
+            plan = plan_mttkrp(hic, 8, nthreads, strategy="schedule")
+            for mode in range(hic.nmodes):
+                oracle = mttkrp(hic, factors, mode)
+                for backend in ("sim", "thread", "process"):
+                    run = mttkrp_parallel(hic, factors, mode, nthreads,
+                                          plan=plan, backend=backend)
+                    assert run.strategy == "schedule"
+                    _check_bitwise(run.output, oracle,
+                                   f"{name} mode={mode} {backend} "
+                                   f"P={nthreads}")
     finally:
         procpool.release_shared(hic)
 
@@ -290,18 +330,17 @@ def _coo_oracle(coo: CooTensor, factors, mode: int) -> np.ndarray:
     """The sequential COO oracle: ``np.add.at`` in original input order.
 
     This is the definitional MTTKRP semantics (each output row accumulates
-    its contributions one at a time, left to right in COO order).  ALTO
-    pins its scatters to the same order (``scatter_add_sequential``), so
-    its output must match *bitwise* on every backend and thread count —
-    not just within the ULP budget the reassociating HiCOO paths get.
+    its contributions one at a time, left to right in COO order).  The COO
+    and ALTO kernels reduce each row in that same order, so their output
+    must match *bitwise* on every backend and thread count.
     """
-    from repro.formats.coo import _row_products
-
     rank = factors[0].shape[1]
+    prod = np.ones((coo.nnz, rank))
+    for m, f in enumerate(factors):
+        if m != mode:
+            prod *= f[coo.indices[:, m]]
     out = np.zeros((coo.shape[mode], rank))
-    if coo.nnz:
-        acc = coo.values[:, None] * _row_products(factors, coo.indices, mode)
-        np.add.at(out, coo.indices[:, mode], acc)
+    np.add.at(out, coo.indices[:, mode], coo.values[:, None] * prod)
     return out
 
 
@@ -313,11 +352,15 @@ def test_alto_sim_and_thread_bitwise(seed):
     rank = int(rng.integers(2, 9))
     factors = [rng.random((s, rank)) + 0.1 for s in coo.shape]
     nthreads = (2, 3, 5)[seed % 3]
+    csf = CsfTensor(coo)
     for mode in range(coo.nmodes):
         oracle = _coo_oracle(coo, factors, mode)
-        assert np.array_equal(alto.mttkrp(factors, mode), oracle), (
-            f"seed={seed} mode={mode}: sequential ALTO diverged bitwise")
-        CASES["count"] += 1
+        _check_bitwise(alto.mttkrp(factors, mode), oracle,
+                       f"seed={seed} mode={mode} sequential alto")
+        _check_bitwise(coo.mttkrp(factors, mode), oracle,
+                       f"seed={seed} mode={mode} sequential coo")
+        _check_against_oracle(csf.mttkrp(factors, mode), oracle,
+                              f"seed={seed} mode={mode} sequential csf")
         for backend in ("sim", "thread"):
             run = mttkrp_parallel(alto, factors, mode, nthreads,
                                   strategy="schedule", backend=backend)
@@ -329,9 +372,6 @@ def test_alto_sim_and_thread_bitwise(seed):
                                strategy="privatize")
         _check_against_oracle(priv.output, oracle,
                               f"seed={seed} mode={mode} alto privatize")
-        # the format's own reduceat-based oracle stays ULP-close too
-        _check_against_oracle(coo.mttkrp(factors, mode), oracle,
-                              f"seed={seed} mode={mode} coo.mttkrp")
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -104,6 +104,17 @@ class TestMttkrp:
         assert out.shape == (4, 3)
         assert np.all(out == 0)
 
+    def test_gather_view_shares_indices_and_memoizes(self, small3d,
+                                                     factors3d):
+        view = small3d.gather_view()
+        assert small3d.gather_view() is view
+        assert view.ginds is small3d.indices
+        assert view.values is small3d.values
+        small3d.mttkrp(factors3d, 1)
+        red = view.reduction(1)
+        small3d.mttkrp(factors3d, 1)
+        assert view.reduction(1) is red
+
     def test_negative_mode(self, small3d, factors3d):
         np.testing.assert_allclose(
             small3d.mttkrp(factors3d, -1), small3d.mttkrp(factors3d, 2))

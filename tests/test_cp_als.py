@@ -7,6 +7,8 @@ from repro.core.hicoo import HicooTensor
 from repro.cpd.cp_als import cp_als
 from repro.cpd.init import hosvd_init, initialize, random_init
 from repro.cpd.ktensor import KruskalTensor
+from repro.data import registry
+from repro.formats import as_format
 from repro.formats.coo import CooTensor
 from repro.formats.csf import CsfTensor
 from repro.data.synthetic import lowrank_tensor
@@ -65,6 +67,62 @@ class TestFormatAgreement:
         b = cp_als(HicooTensor(small4d, block_bits=2), 2, maxiters=3,
                    tol=0.0, init=init)
         np.testing.assert_allclose(a.fits, b.fits, atol=1e-10)
+
+
+def _fits_with_reference(monkeypatch, tensor, rank, **kwargs):
+    """Run cp_als and pair every per-iteration fit with the reference
+    fit of the same model: ``KruskalTensor.fit`` without the MTTKRP
+    argument (a full pass over the nonzeros)."""
+    original = KruskalTensor.fit
+    pairs = []
+
+    def spy(self, coo, tensor_norm=None, mttkrp=None, grams=None):
+        assert mttkrp is not None, "cp_als must pass its last MTTKRP"
+        got = original(self, coo, tensor_norm, mttkrp, grams)
+        pairs.append((got, original(self, coo, tensor_norm)))
+        return got
+
+    monkeypatch.setattr(KruskalTensor, "fit", spy)
+    res = cp_als(tensor, rank, **kwargs)
+    monkeypatch.undo()
+    assert [got for got, _ in pairs] == res.fits
+    return pairs
+
+
+class TestFitFromMttkrp:
+    """The solver's fit comes from the last mode's MTTKRP (O(I_N R))."""
+
+    @pytest.mark.parametrize("name", registry.names())
+    @pytest.mark.parametrize("fmt", ["coo", "csf", "hicoo", "alto"])
+    def test_matches_reference_on_registry(self, monkeypatch, name, fmt):
+        coo = registry.load(name, scale=0.05)
+        rng = np.random.default_rng(3)
+        init = [rng.random((s, 4)) for s in coo.shape]
+        pairs = _fits_with_reference(monkeypatch, as_format(coo, fmt), 4,
+                                     maxiters=3, tol=0.0, init=init)
+        assert len(pairs) == 3
+        for got, ref in pairs:
+            assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
+
+    def test_planted_exact_rank_near_one(self, monkeypatch):
+        # both formulas cancel ||X||^2 against 2<X,M> - ||M||^2 as the fit
+        # approaches 1; they must still agree far below the solver's tol
+        rng = np.random.default_rng(0)
+        true = KruskalTensor(np.ones(3),
+                             [rng.random((s, 3)) for s in (12, 10, 8)])
+        coo = CooTensor.from_dense(true.full())
+        pairs = _fits_with_reference(monkeypatch, coo, 3, maxiters=40,
+                                     tol=0.0, seed=1)
+        assert pairs[-1][1] > 0.99
+        for got, ref in pairs:
+            assert abs(got - ref) <= 1e-12, (got, ref)
+
+    @pytest.mark.parametrize("fmt", ["coo", "csf", "hicoo", "alto"])
+    def test_zero_norm_tensor_gives_finite_fits(self, fmt):
+        coo = CooTensor((6, 5, 4), [[0, 0, 0], [5, 4, 3], [2, 1, 0]],
+                        np.zeros(3))
+        res = cp_als(as_format(coo, fmt), 2, maxiters=3, tol=0.0, seed=0)
+        assert res.fits and np.all(np.isfinite(res.fits)), res.fits
 
 
 class TestInterface:

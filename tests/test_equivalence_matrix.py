@@ -109,5 +109,6 @@ def test_scatter_backends_recorded():
     factors = [rng.normal(size=(s, 4)) for s in hic.shape]
     run = mttkrp_parallel(hic, factors, 0, 4)
     assert run.scatter_backends  # non-empty
-    assert all(b in ("add_at", "reduceat", "bincount", "sort_reduceat")
+    assert all(b in ("csr", "add_at", "reduceat", "bincount",
+                     "sort_reduceat")
                for b in run.scatter_backends)

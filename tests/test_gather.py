@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.hicoo import HicooTensor
-from repro.kernels.gather import (SCATTER_SMALL_N, build_task_gather,
-                                  coalesce_runs, mttkrp_gather_chunk,
-                                  runs_from_block_ids, scatter_add)
+from repro.kernels.gather import (SCATTER_SMALL_N, build_row_reduction,
+                                  build_task_gather, coalesce_runs,
+                                  mttkrp_gather_chunk, runs_from_block_ids,
+                                  scatter_add)
 from tests.conftest import make_random_coo
 
 
@@ -146,7 +147,7 @@ class TestTaskGather:
             out = np.zeros_like(ref)
             tg = hic.task_gather([(0, hic.nblocks)])
             backend = mttkrp_gather_chunk(tg, factors, mode, out)
-            assert backend != "noop"
+            assert backend == "csr"
             np.testing.assert_allclose(out, ref, atol=1e-10)
 
     def test_empty_task(self, hic):
@@ -156,3 +157,118 @@ class TestTaskGather:
         factors = [np.ones((s, 4)) for s in hic.shape]
         assert mttkrp_gather_chunk(tg, factors, 0, out) == "noop"
         assert not out.any()
+
+
+class TestRowReduction:
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_bitwise_add_at(self, sort):
+        rng = np.random.default_rng(7 + sort)
+        idx = rng.integers(0, 90, size=3000)
+        if sort:
+            idx = np.sort(idx)
+        weights = rng.normal(size=3000)
+        acc = rng.normal(size=(3000, 5))
+        red = build_row_reduction(idx, weights, presorted=sort)
+        out = np.zeros((90, 5))
+        red.apply(out, acc)
+        ref = _reference_scatter(90, idx, weights[:, None] * acc)
+        assert np.array_equal(out, ref)
+        np.testing.assert_array_equal(red.rows, np.unique(idx))
+
+    def test_presorted_shares_weights_and_column_ids(self):
+        idx = np.repeat(np.arange(0, 40, 2), 5)
+        weights = np.linspace(1.0, 2.0, len(idx))
+        red = build_row_reduction(idx, weights, presorted=True)
+        assert np.shares_memory(red.op.data, weights)
+        assert red.op.indices.dtype == np.int32
+        assert red.owned_bytes == red.rows.nbytes + red.op.indptr.nbytes
+
+    def test_unsorted_stores_int32_columns_and_permuted_weights(self):
+        rng = np.random.default_rng(8)
+        idx = rng.integers(0, 50, size=400)
+        red = build_row_reduction(idx, rng.random(400))
+        assert red.op.indices.dtype == np.int32
+        assert red.owned_bytes == (red.op.indices.nbytes + red.op.data.nbytes
+                                   + red.rows.nbytes + red.op.indptr.nbytes)
+
+    def test_unit_weights(self):
+        idx = np.array([3, 0, 3, 1])
+        red = build_row_reduction(idx)
+        out = np.zeros((4, 2))
+        red.apply(out, np.arange(8.0).reshape(4, 2))
+        np.testing.assert_array_equal(out[:, 0], [2.0, 6.0, 0.0, 4.0])
+
+    def test_task_gather_memoizes_operators_in_cache_bytes(self):
+        hic = HicooTensor(make_random_coo((40, 30, 20), 500, seed=4),
+                          block_bits=3)
+        tg = hic.task_gather([(0, hic.nblocks)])
+        before = hic.gather_cache_bytes()
+        red = tg.reduction(1)
+        assert tg.reduction(1) is red
+        assert red.owned_bytes > 0
+        assert hic.gather_cache_bytes() == before + red.owned_bytes
+
+    def test_gather_chunk_is_bitwise_add_at(self):
+        hic = HicooTensor(make_random_coo((40, 30, 20), 500, seed=6),
+                          block_bits=2)
+        rng = np.random.default_rng(6)
+        factors = [rng.random((s, 4)) for s in hic.shape]
+        tg = hic.task_gather([(0, hic.nblocks)])
+        for mode in range(3):
+            prod = np.ones((tg.nnz, 4))
+            for m in range(3):
+                if m != mode:
+                    prod *= factors[m][tg.ginds[:, m]]
+            ref = _reference_scatter(hic.shape[mode], tg.ginds[:, mode],
+                                     tg.values[:, None] * prod)
+            out = np.zeros_like(ref)
+            assert mttkrp_gather_chunk(tg, factors, mode, out) == "csr"
+            assert np.array_equal(out, ref)
+
+
+def test_concurrent_reduction_builds_are_consistent():
+    """Threads racing to build and apply one task's operators (a resident
+    tensor serving concurrent jobs) and to grow the shared column ids all
+    get bitwise the sequential result; one operator per mode is kept."""
+    import sys
+    import threading
+
+    hic = HicooTensor(make_random_coo((60, 50, 40), 3000, seed=12),
+                      block_bits=2)
+    rng = np.random.default_rng(12)
+    factors = [rng.random((s, 3)) for s in hic.shape]
+    expect = [hic.mttkrp(factors, mode) for mode in range(3)]
+    tg = build_task_gather(hic, [(0, hic.nblocks)])  # fresh, unmemoized
+    errors = []
+    start = threading.Barrier(12)
+
+    def work(tid):
+        try:
+            start.wait(timeout=10)
+            for k in range(6):
+                mode = (tid + k) % 3
+                out = np.zeros_like(expect[mode])
+                mttkrp_gather_chunk(tg, factors, mode, out)
+                if not np.array_equal(out, expect[mode]):
+                    errors.append(f"thread {tid} mode {mode} diverged")
+                n = 1000 * (tid + 1) + k
+                ids = build_row_reduction(np.arange(n), presorted=True)
+                if not np.array_equal(ids.op.indices, np.arange(n)):
+                    errors.append(f"thread {tid}: bad shared column ids")
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(12)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors
+    assert sorted(tg._reductions) == [0, 1, 2]

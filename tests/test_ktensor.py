@@ -73,6 +73,24 @@ class TestNormAndInner:
         kt = KruskalTensor(np.zeros(1), [np.zeros((2, 1)), np.zeros((3, 1))])
         assert kt.fit(CooTensor.empty((2, 3))) == 1.0
 
+    def test_fit_from_last_mttkrp_matches_reference(self, small3d):
+        kt = random_kt(small3d.shape, 4, seed=15)
+        last = small3d.nmodes - 1
+        m = small3d.mttkrp(kt.factors, last)
+        grams = [f.T @ f for f in kt.factors]
+        ref = kt.fit(small3d)
+        assert np.isclose(kt.fit(small3d, mttkrp=m), ref, rtol=1e-12)
+        assert np.isclose(kt.fit(small3d, mttkrp=m, grams=grams), ref,
+                          rtol=1e-12)
+
+    def test_fit_zero_norm_with_mttkrp(self):
+        coo = CooTensor((2, 3), [[0, 1]], [0.0])
+        zero = KruskalTensor(np.ones(1), [np.zeros((2, 1)), np.zeros((3, 1))])
+        assert zero.fit(coo, mttkrp=np.zeros((3, 1))) == 1.0
+        kt = random_kt((2, 3), 1, seed=16)
+        fit = kt.fit(coo, mttkrp=np.zeros((3, 1)))
+        assert np.isfinite(fit) and fit == 0.0
+
     def test_fit_bounded(self, small3d):
         kt = random_kt(small3d.shape, 2, seed=5)
         assert kt.fit(small3d) <= 1.0
