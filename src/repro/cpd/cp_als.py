@@ -143,7 +143,8 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
     # across iterations — built here (or passed in), reused every MTTKRP
     from ..core.hicoo import HicooTensor
 
-    parallel = nthreads > 1 or backend in ("process", "numba", "cupy")
+    parallel = (plan is not None or nthreads > 1
+                or backend in ("process", "numba", "cupy"))
     if plan is None and parallel and isinstance(tensor, HicooTensor):
         from ..kernels.plan import plan_mttkrp
 
@@ -177,14 +178,9 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
             with trace.span("cpals.iter", it=it, **geom) as sp:
                 for mode in range(nmodes):
                     t0 = time.perf_counter()
-                    if plan is not None:
-                        m = mttkrp_parallel(tensor, factors, mode,
-                                            plan.nthreads, strategy=strategy,
-                                            plan=plan, backend=backend,
-                                            fault_policy=fault_policy).output
-                    elif parallel:
+                    if parallel:
                         m = mttkrp_parallel(tensor, factors, mode, nthreads,
-                                            strategy=strategy,
+                                            strategy=strategy, plan=plan,
                                             backend=backend,
                                             fault_policy=fault_policy).output
                     else:

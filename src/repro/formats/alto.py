@@ -136,34 +136,6 @@ class AltoPartition:
         return int(self.thread_nnz.nbytes)
 
 
-class _AltoProcView:
-    """Duck-typed HiCOO stand-in handing one ALTO mode view to the process
-    backend.
-
-    The shared-memory session shares ``bptr``/``binds``/``einds``/``values``
-    and workers rebuild ``ginds = (binds[blk] << block_bits) + einds``; with
-    one "block" per output-row segment, all-zero ``binds`` and
-    ``block_bits = 0`` that reconstruction returns the mode-sorted global
-    coordinates exactly, so the unchanged worker kernel — and the
-    supervisor's reset-and-retry idempotence, which zeroes the rows a task's
-    ``ginds`` names — applies verbatim.
-    """
-
-    def __init__(self, shape, seg_starts, ginds, values):
-        nnz = len(values)
-        self.shape = tuple(shape)
-        self.block_bits = 0
-        self.bptr = np.concatenate([seg_starts, [nnz]]).astype(np.int64)
-        self.binds = np.zeros((len(seg_starts), ginds.shape[1]),
-                              dtype=np.int64)
-        self.einds = ginds
-        self.values = values
-
-    @property
-    def nsegments(self) -> int:
-        return len(self.bptr) - 1
-
-
 class AltoTensor(SparseTensorFormat):
     """Sparse tensor stored as adaptively linearized (ALTO) keys.
 
@@ -194,7 +166,6 @@ class AltoTensor(SparseTensorFormat):
         self._segments: Dict[int, np.ndarray] = {}
         self._partitions: Dict[Tuple[int, int], AltoPartition] = {}
         self._task_gathers: Dict[Tuple[int, int, str], List[TaskGather]] = {}
-        self._proc_views: Dict[int, _AltoProcView] = {}
 
     # ------------------------------------------------------------------
     # format interface
@@ -229,7 +200,6 @@ class AltoTensor(SparseTensorFormat):
         out._segments = {}
         out._partitions = {}
         out._task_gathers = {}
-        out._proc_views = {}
         return out
 
     def to_coo(self) -> CooTensor:
@@ -404,18 +374,6 @@ class AltoTensor(SparseTensorFormat):
                                              for lo, hi in ranges]
         return tgs
 
-    def proc_view(self, mode: int) -> _AltoProcView:
-        """HiCOO-shaped stand-in for the shared-memory process backend
-        (memoized per mode; released via ``procpool.release_shared``)."""
-        mode = check_mode(mode, self.nmodes)
-        view = self._proc_views.get(mode)
-        if view is None:
-            tg = self.mode_view(mode)
-            view = _AltoProcView(self._shape, self.row_segments(mode),
-                                 tg.ginds, tg.values)
-            self._proc_views[mode] = view
-        return view
-
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
@@ -451,8 +409,6 @@ class AltoTensor(SparseTensorFormat):
             total += starts.nbytes
         for part in self._partitions.values():
             total += part.nbytes()
-        for view in self._proc_views.values():
-            total += view.bptr.nbytes + view.binds.nbytes
         return int(total)
 
     def clear_cache(self) -> None:
@@ -467,4 +423,3 @@ class AltoTensor(SparseTensorFormat):
         self._segments.clear()
         self._partitions.clear()
         self._task_gathers.clear()
-        self._proc_views.clear()

@@ -415,15 +415,15 @@ def mttkrp_cupy(fused: FusedTasks, factors: Sequence[np.ndarray], mode: int,
 
 
 # ----------------------------------------------------------------------
-# plan-level cache + the entry point mttkrp_parallel dispatches to
+# plan-level cache + the entry point execute dispatches to
 # ----------------------------------------------------------------------
-def _mode_state(plan, tensor, mode: int, tier: str):
-    """Fused arrays (and, for cupy, the device arena) cached on the plan."""
-    mp = plan.for_mode(mode)
+def _mode_state(mp, tensor, tier: str):
+    """Fused arrays (and, for cupy, the device arena) cached on the mode
+    plan."""
     cache = mp.compiled
     fused = cache.get("fused")
     if fused is None:
-        gathers = plan.ensure_gathers(tensor, mode)
+        gathers = mp.ensure_gathers(tensor)
         fused = build_fused_tasks(gathers, mp.strategy == "schedule")
         cache["fused"] = fused
         metrics.inc("compiled.fused_builds")
@@ -444,13 +444,18 @@ def mttkrp_compiled(tensor, factors: Sequence[np.ndarray], mode: int,
                     ) -> Tuple[np.ndarray, str, List[float]]:
     """Execute one mode's MTTKRP on a compiled tier from a plan.
 
-    Returns ``(output, scatter_flavor, [kernel_seconds])``.  The caller
-    (:func:`repro.kernels.mttkrp.mttkrp_parallel`) has already verified
+    ``plan`` is an :class:`~repro.kernels.plan.MttkrpPlan` or the mode's
+    own :class:`~repro.kernels.plan.ModePlan` (what a HiCOO region
+    carries).  Returns ``(output, scatter_flavor, [kernel_seconds])``.
+    The caller (:func:`repro.kernels.mttkrp.execute`) has already verified
     the tier is available and the tensor is HiCOO.
     """
+    from .plan import MttkrpPlan
+
     rank = factors[0].shape[1]
     rows = tensor.shape[mode]
-    fused, arena = _mode_state(plan, tensor, mode, tier)
+    mp = plan.for_mode(mode) if isinstance(plan, MttkrpPlan) else plan
+    fused, arena = _mode_state(mp, tensor, tier)
     t0 = time.perf_counter()
     if tier == "cupy":
         output = mttkrp_cupy(fused, factors, mode, rows, rank, arena)

@@ -11,37 +11,36 @@ Sequential MTTKRP lives on each format class; this module adds
   - **HiCOO/schedule**: the lock-free superblock schedule — threads own
     disjoint output row ranges, no atomics, no extra memory;
   - **HiCOO/privatize**: superblocks split contiguously, private outputs;
+  - **ALTO/schedule** and **ALTO/privatize**: equal-nnz chunks of the
+    row-sorted mode view (row-disjoint) or of the key order (private);
   - **CSF**: root subtrees split across threads; writes are naturally
     disjoint when the target mode is the tree root, privatized otherwise.
 
-Every parallel run returns the output *and* an execution record with the
-per-thread work counts the analytic machine model consumes.
+Each format only builds the partition, a :class:`~repro.kernels.region.Region`;
+one :func:`execute` runs any region on every backend.  Every parallel run
+returns the output *and* an execution record with the per-thread work
+counts the analytic machine model consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.hicoo import HicooTensor
-from ..core.scheduler import Schedule, choose_strategy, schedule_mode
-from ..core.superblock import build_superblocks
-from ..formats.alto import AltoTensor
+from ..core.scheduler import Schedule
 from ..formats.base import SparseTensorFormat
-from ..formats.coo import CooTensor
-from ..formats.csf import CsfTensor
 from ..obs import metrics, trace
 from ..parallel.executor import (ExecutionReport, TaskResult, resolve_backend,
                                  run_tasks)
-from ..parallel.partition import balanced_ranges
 from ..parallel.privatize import PrivateBuffers
 from ..util.validation import check_factors, check_mode
 from .backends import resolve_kernel_backend
-from .gather import mttkrp_gather_chunk
+from .region import Region, build_region
 
-__all__ = ["MttkrpRun", "mttkrp", "mttkrp_parallel"]
+__all__ = ["MttkrpRun", "execute", "mttkrp", "mttkrp_parallel"]
 
 
 @dataclass
@@ -85,7 +84,6 @@ def mttkrp(tensor: SparseTensorFormat, factors: Sequence[np.ndarray],
 def mttkrp_parallel(tensor: SparseTensorFormat, factors: Sequence[np.ndarray],
                     mode: int, nthreads: int, strategy: str = "auto",
                     superblock_bits: Optional[int] = None,
-                    real_threads: bool = False,
                     plan=None, backend: Optional[str] = None,
                     fault_policy=None) -> MttkrpRun:
     """Parallel MTTKRP with the strategy set of the paper.
@@ -93,23 +91,25 @@ def mttkrp_parallel(tensor: SparseTensorFormat, factors: Sequence[np.ndarray],
     ``strategy``:
 
     * ``"auto"`` — the paper's heuristic (:func:`choose_strategy` for HiCOO,
-      privatization for COO);
-    * ``"atomic"``, ``"privatize"`` — COO and HiCOO;
-    * ``"schedule"`` — HiCOO only (lock-free superblock scheduling).
+      privatization for COO, the row-disjoint schedule for ALTO, root
+      subtrees for CSF);
+    * ``"atomic"`` — COO only; ``"privatize"`` — every format;
+    * ``"schedule"`` — HiCOO (lock-free superblock scheduling) and ALTO;
+    * ``"subtree"`` — CSF.
 
     ``plan`` — a precomputed :class:`repro.kernels.plan.MttkrpPlan` for a
     HiCOO tensor; skips superblock construction and scheduling entirely
     (CP-ALS builds one plan and reuses it every iteration).
 
     ``backend`` — ``"sim"`` (sequential, individually timed tasks),
-    ``"thread"`` (GIL-sharing thread pool; equivalent to the legacy
-    ``real_threads=True``), ``"process"`` (true multicore over shared
-    memory; HiCOO only, see :mod:`repro.parallel.procpool`), ``"numba"``
-    (fused machine-code kernels, ``prange`` over the plan's row-disjoint
-    tasks), or ``"cupy"`` (GPU segmented reductions over a device-resident
-    plan).  The compiled tiers are HiCOO-only and **degrade silently** to
-    the NumPy kernels when the dependency is absent (one warning, a
-    ``kernel.fallbacks`` counter bump, identical results) — see
+    ``"thread"`` (GIL-sharing thread pool), ``"process"`` (true multicore
+    over shared memory; HiCOO and ALTO, see
+    :mod:`repro.parallel.procpool`), ``"numba"`` (fused machine-code
+    kernels, ``prange`` over the plan's row-disjoint tasks), or ``"cupy"``
+    (GPU segmented reductions over a device-resident plan).  The compiled
+    tiers run HiCOO plans (and ALTO's scatters on numba) and **degrade
+    silently** to the NumPy kernels when the dependency is absent (one
+    warning, a ``kernel.fallbacks`` counter bump, identical results) — see
     :mod:`repro.kernels.backends` and :mod:`repro.kernels.compiled`.
 
     ``fault_policy`` — process backend only: ``"fail-fast"`` (default, the
@@ -124,81 +124,139 @@ def mttkrp_parallel(tensor: SparseTensorFormat, factors: Sequence[np.ndarray],
     mode = check_mode(mode, tensor.nmodes)
     if nthreads < 1:
         raise ValueError(f"nthreads must be positive, got {nthreads}")
-    backend = resolve_backend(backend, real_threads)
-    kernel_tier = None
+    region = build_region(tensor, mode, nthreads, strategy,
+                          factors[0].shape[1], superblock_bits, plan)
+    return execute(region, factors, backend, fault_policy)
+
+
+def execute(region: Region, factors: Sequence[np.ndarray],
+            backend: Optional[str] = None, fault_policy=None) -> MttkrpRun:
+    """Run one region on ``backend`` (see :func:`mttkrp_parallel`).
+
+    Under ``fault_policy="degrade"``, a process region whose recovery
+    budget runs out is re-run — the same region, so the same partition and
+    kernels and the same bits — on the first in-process fallback backend
+    (``config.fallback_backends``, thread then sim); the event is logged,
+    counted (``supervisor.degradations``) and traced.
+    """
+    from ..parallel.supervisor import DegradedExecution, FaultConfig
+
+    # validated on every backend, so a typo fails loudly even where the
+    # knob is moot (in-process tasks cannot be lost)
+    config = FaultConfig.resolve(fault_policy)
+    backend = resolve_backend(backend)
     if backend in ("numba", "cupy"):
-        tier = resolve_kernel_backend(backend)
-        if tier == "numpy":
+        if resolve_kernel_backend(backend) == "numpy":
             backend = "sim"  # tier unavailable: silent NumPy fallback
-        elif isinstance(tensor, HicooTensor):
-            return _parallel_hicoo_compiled(tensor, factors, mode, nthreads,
-                                            strategy, superblock_bits, plan,
-                                            tier)
-        elif isinstance(tensor, AltoTensor) and tier == "numba":
-            # ALTO's output-space tasks are row-disjoint, so the jitted
-            # scatter tier runs them unchanged: the region executes
-            # in-process (like HiCOO's compiled path) with compiled
-            # scatter-adds wherever they clear the crossover
-            kernel_tier = tier
-        else:
-            # the GPU tier consumes HiCOO device plans; other combinations
-            # take the NumPy path (same silent-degrade contract)
+        elif region.plan is None and backend not in region.scatter_tiers:
+            # no kernels of this tier for the region: the NumPy path
+            # (same silent-degrade contract)
             metrics.inc("kernel.fallbacks", labels={"tier": backend})
             backend = "sim"
-    real_threads = backend == "thread"
+    if backend == "process" and region.source is None:
+        raise ValueError(
+            "backend='process' shares HiCOO blocks or ALTO views between "
+            f"workers; format {region.format!r} is not supported — convert "
+            "with HicooTensor(coo) or AltoTensor(coo), or use "
+            "backend='thread'")
+    try:
+        return _run(region, factors, backend, config)
+    except DegradedExecution as exc:
+        fallbacks = exc.config.fallback_backends or ("sim",)
+        fallback = next((b for b in fallbacks if b in ("thread", "sim")),
+                        "sim")
+        from ..util.log import get_logger
 
-    if backend == "process":
-        if isinstance(tensor, AltoTensor):
-            return _parallel_alto_process(tensor, factors, mode, nthreads,
-                                          strategy, fault_policy)
-        if not isinstance(tensor, HicooTensor):
-            raise ValueError(
-                "backend='process' shares HiCOO structure arrays between "
-                f"workers; format {tensor.format_name!r} is not supported — "
-                "convert with HicooTensor(coo) or use backend='thread'")
-        return _parallel_hicoo_process(tensor, factors, mode, nthreads,
-                                       strategy, superblock_bits, plan,
-                                       fault_policy)
-    if fault_policy is not None:
-        # validate the knob even when it is moot (sim/thread tasks run in
-        # this very process and cannot be lost) so typos fail loudly
-        from ..parallel.supervisor import FaultConfig
+        get_logger("repro.supervisor").warning(
+            "process backend degraded to %r for mode %d: %s", fallback,
+            region.mode, exc)
+        metrics.inc("supervisor.degradations")
+        trace.instant("supervisor.degrade", mode=region.mode,
+                      fallback=fallback, reason=str(exc))
+        return _run(region, factors, fallback, config, degraded=True)
 
-        FaultConfig.resolve(fault_policy)
 
-    with trace.span("mttkrp.parallel", mode=mode,
-                    format=tensor.format_name, nthreads=nthreads) as sp:
-        if isinstance(tensor, HicooTensor):
-            if plan is not None:
-                run = _parallel_hicoo_planned(tensor, factors, mode, plan,
-                                              real_threads)
-            else:
-                run = _parallel_hicoo(tensor, factors, mode, nthreads,
-                                      strategy, superblock_bits, real_threads)
-        elif isinstance(tensor, AltoTensor):
-            run = _parallel_alto(tensor, factors, mode, nthreads, strategy,
-                                 real_threads, exec_backend=kernel_tier)
-        elif isinstance(tensor, CsfTensor):
-            run = _parallel_csf(tensor, factors, mode, nthreads, strategy,
-                                real_threads)
-        elif isinstance(tensor, CooTensor):
-            run = _parallel_coo(tensor, factors, mode, nthreads, strategy,
-                                real_threads)
+def _run(region: Region, factors, backend: str, config,
+         degraded: bool = False) -> MttkrpRun:
+    rank = factors[0].shape[1]
+    extra = {"degraded": True} if degraded else {}
+    with trace.span("mttkrp.parallel", mode=region.mode,
+                    format=region.format, nthreads=region.nthreads,
+                    backend=backend, **extra) as sp:
+        _observe_blocks(region)
+        if backend == "process":
+            from ..parallel.procpool import run_region
+
+            output, report = run_region(region, factors, config)
+        elif backend in ("numba", "cupy") and region.plan is not None:
+            output, report = _run_compiled(region, factors, backend)
         else:
-            raise TypeError(
-                f"no parallel MTTKRP for format {type(tensor).__name__}")
+            output, report = _run_in_process(region, factors, backend)
+        run = MttkrpRun(
+            output=output, strategy=region.strategy,
+            nthreads=region.nthreads, thread_nnz=region.thread_nnz.copy(),
+            atomic_updates=(int(region.thread_nnz.sum())
+                            if region.output == "atomic"
+                            and region.nthreads > 1 else 0),
+            reduction_flops=((region.nthreads - 1) * region.rows * rank
+                             if region.output == "private" else 0),
+            schedule=region.schedule, report=report,
+            scatter_backends=_backends_of(report))
         sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    _note_parallel(run, tensor, mode, backend)
+    _note_parallel(run, region.format, region.mode, backend)
     return run
 
 
-def _note_parallel(run: "MttkrpRun", tensor, mode: int,
+def _run_in_process(region: Region, factors, backend: str):
+    """The region's tasks on sim, thread, or a compiled scatter tier."""
+    rank = factors[0].shape[1]
+    if region.output == "private":
+        bufs = PrivateBuffers.allocate(region.nthreads, region.rows, rank)
+        outs = [bufs.view(t) for t in range(region.nthreads)]
+    else:
+        out = np.zeros((region.rows, rank))
+        outs = [out] * region.nthreads
+    scatter = backend if backend in region.scatter_tiers else None
+    tasks = [partial(region.body, task, factors, region.mode, outs[t],
+                     scatter)
+             for t, task in enumerate(region.tasks())]
+    # private buffers and row-disjoint tasks are race-free, so the caller's
+    # backend is honored; "atomic" tasks overlap on a shared output and
+    # NumPy has no atomic scatter-add, so they run sequentially (the
+    # penalty a real machine pays is charged by the machine model)
+    report = run_tasks(tasks, backend="sim" if region.output == "atomic"
+                       else backend)
+    return (bufs.reduce() if region.output == "private" else out), report
+
+
+def _run_compiled(region: Region, factors, tier: str):
+    """The fused kernels of a compiled tier (numba / cupy), fed by the
+    region's :class:`~repro.kernels.plan.ModePlan`: the partition and fused
+    gather arrays are the sim/process backends' symbolic state, only the
+    numeric pass changes (one jitted kernel launch / one device segmented
+    reduction instead of per-task NumPy chunks)."""
+    from .compiled import mttkrp_compiled, warmup_numba
+
+    if tier == "numba":
+        # JIT compilation happens here, outside the kernel span, so the
+        # steady-state numbers never include it (recorded separately in
+        # the compiled.compile_seconds metric)
+        warmup_numba()
+    with trace.span("mttkrp.compiled", mode=region.mode, tier=tier,
+                    format=region.format, nthreads=region.nthreads) as sp:
+        output, flavor, times = mttkrp_compiled(
+            region.tensor, factors, region.mode, region.plan, tier)
+        sp.note(flavor=flavor)
+    return output, ExecutionReport(backend=tier, results=[
+        TaskResult(tid=0, elapsed=times[0], value=flavor)])
+
+
+def _note_parallel(run: "MttkrpRun", fmt: str, mode: int,
                    backend: str) -> None:
     """Count one parallel MTTKRP under its format/backend/mode labels, so
     the telemetry slices regressions along the configuration space."""
     reg = metrics.get_registry()
     if reg.enabled:
-        fmt = tensor.format_name
         reg.inc("mttkrp.parallel_calls",
                 labels={"format": fmt, "backend": backend, "mode": mode})
         reg.observe("mttkrp.load_imbalance", run.load_imbalance(),
@@ -211,451 +269,11 @@ def _backends_of(report: ExecutionReport) -> tuple:
                          if isinstance(v, str) and v and v != "noop"}))
 
 
-def _observe_blocks(gathers) -> None:
-    """Record blocks touched per task (superblock group) as a histogram."""
+def _observe_blocks(region: Region) -> None:
+    """Record the size of every task's runs (blocks per superblock group
+    for HiCOO) as a histogram."""
     reg = metrics.get_registry()
     if reg.enabled:
-        for tg in gathers:
+        for runs in region.runs:
             reg.observe("mttkrp.blocks_per_task",
-                        sum(hi - lo for lo, hi in tg.runs))
-
-
-# ----------------------------------------------------------------------
-# COO
-# ----------------------------------------------------------------------
-def _parallel_coo(tensor, factors, mode, nthreads, strategy, real_threads):
-    if strategy == "auto":
-        strategy = "privatize"
-    if strategy not in ("privatize", "atomic"):
-        raise ValueError(f"COO supports 'privatize' or 'atomic', got {strategy!r}")
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-    gathers = tensor.task_gathers(nthreads)
-    thread_nnz = np.array([tg.nnz for tg in gathers], dtype=np.int64)
-
-    if strategy == "privatize":
-        bufs = PrivateBuffers.allocate(nthreads, rows, rank)
-
-        def make_task(tid, tg):
-            def task():
-                return mttkrp_gather_chunk(tg, factors, mode, bufs.view(tid))
-            return task
-
-        tasks = [make_task(t, tg) for t, tg in enumerate(gathers)]
-        # private buffers make concurrent writes race-free, so the caller's
-        # thread mode is honored; the reduction always runs after the tasks
-        report = run_tasks(tasks, real_threads=real_threads)
-        out = bufs.reduce()
-        return MttkrpRun(output=out, strategy="privatize", nthreads=nthreads,
-                         thread_nnz=thread_nnz,
-                         reduction_flops=bufs.reduction_flops(), report=report,
-                         scatter_backends=_backends_of(report))
-
-    # atomic: shared output.  This path deliberately ignores ``real_threads``:
-    # NumPy has no atomic scatter-add, so concurrent tasks writing overlapping
-    # rows of a shared array would silently lose updates.  Sequential
-    # execution keeps the result exact; the atomic penalty a real machine
-    # would pay is charged analytically by the machine model.
-    out = np.zeros((rows, rank))
-
-    def make_task(tg):
-        def task():
-            return mttkrp_gather_chunk(tg, factors, mode, out)
-        return task
-
-    tasks = [make_task(tg) for tg in gathers]
-    report = run_tasks(tasks, real_threads=False)
-    return MttkrpRun(output=out, strategy="atomic", nthreads=nthreads,
-                     thread_nnz=thread_nnz,
-                     atomic_updates=tensor.nnz if nthreads > 1 else 0,
-                     report=report,
-                     scatter_backends=_backends_of(report))
-
-
-# ----------------------------------------------------------------------
-# HiCOO
-# ----------------------------------------------------------------------
-def _parallel_hicoo(tensor, factors, mode, nthreads, strategy,
-                    superblock_bits, real_threads):
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-    sb_bits = superblock_bits if superblock_bits is not None else min(
-        tensor.block_bits + 3, 20)
-    sbs = build_superblocks(tensor, sb_bits)
-
-    if strategy == "auto":
-        strategy = choose_strategy(sbs, mode, nthreads, rows, rank)
-    if strategy not in ("schedule", "privatize"):
-        raise ValueError(
-            f"HiCOO supports 'schedule' or 'privatize', got {strategy!r}")
-
-    if strategy == "schedule":
-        sched = schedule_mode(sbs, mode, nthreads)
-        out = np.zeros((rows, rank))
-        # task_gather memoizes on the tensor, so repeated unplanned calls
-        # with the same structure also skip the symbolic work
-        gathers = [tensor.task_gather([sbs.block_range(sb) for sb in sb_list])
-                   for sb_list in sched.assignment]
-        _observe_blocks(gathers)
-
-        def make_task(tg):
-            def task():
-                return mttkrp_gather_chunk(tg, factors, mode, out)
-            return task
-
-        tasks = [make_task(tg) for tg in gathers]
-        report = run_tasks(tasks, real_threads=real_threads)
-        return MttkrpRun(output=out, strategy="schedule", nthreads=nthreads,
-                         thread_nnz=sched.thread_nnz.copy(), schedule=sched,
-                         report=report,
-                         scatter_backends=_backends_of(report))
-
-    # privatize: contiguous superblock ranges balanced by nnz
-    ranges = balanced_ranges(sbs.nnz_per_superblock, nthreads)
-    bufs = PrivateBuffers.allocate(nthreads, rows, rank)
-    thread_nnz = np.array(
-        [int(sbs.nnz_per_superblock[lo:hi].sum()) for lo, hi in ranges],
-        dtype=np.int64)
-    gathers = [tensor.task_gather([(int(sbs.sptr[lo]), int(sbs.sptr[hi]))])
-               if lo < hi else tensor.task_gather([])
-               for lo, hi in ranges]
-    _observe_blocks(gathers)
-
-    def make_task(tid, tg):
-        def task():
-            return mttkrp_gather_chunk(tg, factors, mode, bufs.view(tid))
-        return task
-
-    tasks = [make_task(t, tg) for t, tg in enumerate(gathers)]
-    # private buffers are race-free, so the caller's thread mode is honored
-    report = run_tasks(tasks, real_threads=real_threads)
-    return MttkrpRun(output=bufs.reduce(), strategy="privatize",
-                     nthreads=nthreads, thread_nnz=thread_nnz,
-                     reduction_flops=bufs.reduction_flops(), report=report,
-                     scatter_backends=_backends_of(report))
-
-
-def _parallel_hicoo_planned(tensor, factors, mode, plan, real_threads):
-    """Execute a mode's MTTKRP from a precomputed plan (no symbolic work).
-
-    The first call for a mode materializes the plan's fused gather arrays
-    (through the tensor's memoized cache); every later call — each CP-ALS
-    iteration — is a pure gather/multiply/scatter numeric pass.
-    """
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-    mp = plan.for_mode(mode)
-    gathers = plan.ensure_gathers(tensor, mode)
-    _observe_blocks(gathers)
-
-    if mp.strategy == "schedule":
-        out = np.zeros((rows, rank))
-
-        def make_task(tg):
-            def task():
-                return mttkrp_gather_chunk(tg, factors, mode, out)
-            return task
-
-        tasks = [make_task(tg) for tg in gathers]
-        report = run_tasks(tasks, real_threads=real_threads)
-        return MttkrpRun(output=out, strategy="schedule",
-                         nthreads=plan.nthreads,
-                         thread_nnz=mp.thread_nnz.copy(),
-                         schedule=mp.schedule, report=report,
-                         scatter_backends=_backends_of(report))
-
-    bufs = PrivateBuffers.allocate(plan.nthreads, rows, rank)
-
-    def make_task(tid, tg):
-        def task():
-            return mttkrp_gather_chunk(tg, factors, mode, bufs.view(tid))
-        return task
-
-    tasks = [make_task(t, tg) for t, tg in enumerate(gathers)]
-    # private buffers are race-free, so the caller's thread mode is honored
-    report = run_tasks(tasks, real_threads=real_threads)
-    return MttkrpRun(output=bufs.reduce(), strategy="privatize",
-                     nthreads=plan.nthreads,
-                     thread_nnz=mp.thread_nnz.copy(),
-                     reduction_flops=bufs.reduction_flops(), report=report,
-                     scatter_backends=_backends_of(report))
-
-
-def _parallel_hicoo_compiled(tensor, factors, mode, nthreads, strategy,
-                             superblock_bits, plan, tier):
-    """Execute one mode's MTTKRP on a compiled tier (numba / cupy).
-
-    Reuses the plan layer end to end: the partition, strategies, and fused
-    gather arrays are exactly the sim/process backends' symbolic state;
-    only the numeric pass changes (one jitted kernel launch / one device
-    segmented reduction instead of per-task NumPy chunks).  Without a plan
-    one is built here — callers that iterate (CP-ALS) pass a plan so the
-    per-mode fused arrays and device uploads are paid once.
-    """
-    from .compiled import mttkrp_compiled, warmup_numba
-    from .plan import plan_mttkrp
-
-    if plan is None:
-        plan = plan_mttkrp(tensor, factors[0].shape[1], nthreads,
-                           superblock_bits=superblock_bits,
-                           strategy=strategy)
-    if tier == "numba":
-        # JIT compilation happens here, outside the kernel span, so the
-        # steady-state numbers never include it (recorded separately in
-        # the compiled.compile_seconds metric)
-        warmup_numba()
-    with trace.span("mttkrp.compiled", mode=mode, tier=tier,
-                    format=tensor.format_name, nthreads=plan.nthreads) as sp:
-        output, flavor, times = mttkrp_compiled(tensor, factors, mode,
-                                                plan, tier)
-        sp.note(flavor=flavor)
-    mp = plan.for_mode(mode)
-    report = ExecutionReport(backend=tier, results=[
-        TaskResult(tid=0, elapsed=times[0], value=flavor)])
-    run = MttkrpRun(output=output, strategy=mp.strategy,
-                    nthreads=plan.nthreads,
-                    thread_nnz=mp.thread_nnz.copy(),
-                    schedule=mp.schedule, report=report,
-                    scatter_backends=(flavor,) if flavor != "noop" else ())
-    _note_parallel(run, tensor, mode, tier)
-    return run
-
-
-def _parallel_hicoo_process(tensor, factors, mode, nthreads, strategy,
-                            superblock_bits, plan, fault_policy=None):
-    """True multicore HiCOO MTTKRP: superblock partitions executed by the
-    shared-memory process pool (see :mod:`repro.parallel.procpool`).
-
-    Under ``fault_policy="degrade"``, an exhausted recovery budget falls
-    back to the in-process backends (``config.fallback_backends``, thread
-    then sim) — same partition, same kernels, so the degraded output is
-    numerically identical; the event is logged, counted
-    (``supervisor.degradations``) and traced.
-    """
-    from ..parallel.procpool import mttkrp_process
-    from ..parallel.supervisor import DegradedExecution
-
-    try:
-        with trace.span("mttkrp.parallel", mode=mode, backend="process",
-                        format=tensor.format_name, nthreads=nthreads) as sp:
-            pr = mttkrp_process(tensor, factors, mode, nthreads,
-                                strategy=strategy,
-                                superblock_bits=superblock_bits, plan=plan,
-                                fault_policy=fault_policy)
-            run = MttkrpRun(output=pr.output, strategy=pr.strategy,
-                            nthreads=pr.nworkers, thread_nnz=pr.thread_nnz,
-                            reduction_flops=pr.reduction_flops,
-                            schedule=pr.schedule, report=pr.report,
-                            scatter_backends=pr.scatter_backends)
-            sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    except DegradedExecution as exc:
-        return _degrade_hicoo(tensor, factors, mode, nthreads, strategy,
-                              superblock_bits, plan, exc)
-    _note_parallel(run, tensor, mode, "process")
-    return run
-
-
-def _degrade_hicoo(tensor, factors, mode, nthreads, strategy,
-                   superblock_bits, plan, exc) -> MttkrpRun:
-    """Finish an MTTKRP whose process-backend region gave up, on the first
-    usable fallback backend (the in-process paths share the partition and
-    kernels, so the result matches what the process backend would have
-    produced)."""
-    from ..util.log import get_logger
-
-    fallbacks = exc.config.fallback_backends or ("sim",)
-    backend = next((b for b in fallbacks if b in ("thread", "sim")), "sim")
-    get_logger("repro.supervisor").warning(
-        "process backend degraded to %r for mode %d: %s", backend, mode, exc)
-    metrics.inc("supervisor.degradations")
-    trace.instant("supervisor.degrade", mode=mode, fallback=backend,
-                  reason=str(exc))
-    real_threads = backend == "thread"
-    with trace.span("mttkrp.parallel", mode=mode, backend=backend,
-                    format=tensor.format_name, nthreads=nthreads,
-                    degraded=True) as sp:
-        if plan is not None:
-            run = _parallel_hicoo_planned(tensor, factors, mode, plan,
-                                          real_threads)
-        else:
-            run = _parallel_hicoo(tensor, factors, mode, nthreads, strategy,
-                                  superblock_bits, real_threads)
-        sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    _note_parallel(run, tensor, mode, backend)
-    return run
-
-
-# ----------------------------------------------------------------------
-# ALTO
-# ----------------------------------------------------------------------
-def _parallel_alto(tensor, factors, mode, nthreads, strategy,
-                   real_threads=False, exec_backend=None):
-    """Parallel MTTKRP over ALTO's linearized keys.
-
-    * ``"schedule"`` — the load-balanced default: the mode view (nonzeros
-      ordered by output row, ties in source order) is cut into equal-nnz
-      contiguous ranges on row-segment boundaries, so tasks own disjoint
-      output rows and share the output lock-free.  Per-row accumulation
-      order is independent of the partition, which keeps every task count
-      **bit-identical** to the sequential COO oracle.
-    * ``"privatize"`` — equal-nnz chunks of the raw key order into private
-      buffers plus one reduction (reassociates row sums; ULP-close only).
-
-    ``exec_backend="numba"`` routes the scatters through the compiled tier
-    (same tasks, jitted scatter-adds past the crossover).  Task gathers are
-    memoized on the tensor (:meth:`AltoTensor.task_gathers`), so their
-    reduction operators are built once per (mode, nthreads, strategy).
-    """
-    if strategy == "auto":
-        strategy = "schedule"
-    if strategy not in ("schedule", "privatize"):
-        raise ValueError(
-            f"ALTO supports 'schedule' or 'privatize', got {strategy!r}")
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-    scatter_backend = exec_backend if exec_backend == "numba" else None
-    gathers = tensor.task_gathers(mode, nthreads, strategy)
-    _observe_blocks(gathers)
-    thread_nnz = np.array([tg.nnz for tg in gathers], dtype=np.int64)
-
-    if strategy == "schedule":
-        out = np.zeros((rows, rank))
-
-        def make_task(tg):
-            def task():
-                return mttkrp_gather_chunk(tg, factors, mode, out,
-                                           backend=scatter_backend)
-            return task
-
-        tasks = [make_task(tg) for tg in gathers]
-        report = run_tasks(tasks, real_threads=real_threads,
-                           backend=exec_backend)
-        return MttkrpRun(output=out, strategy="schedule", nthreads=nthreads,
-                         thread_nnz=thread_nnz, report=report,
-                         scatter_backends=_backends_of(report))
-
-    # privatize: equal-nnz chunks of the linearized order, private buffers
-    bufs = PrivateBuffers.allocate(nthreads, rows, rank)
-
-    def make_task(tid, tg):
-        def task():
-            return mttkrp_gather_chunk(tg, factors, mode, bufs.view(tid),
-                                       backend=scatter_backend)
-        return task
-
-    tasks = [make_task(t, tg) for t, tg in enumerate(gathers)]
-    # private buffers are race-free, so the caller's thread mode is honored
-    report = run_tasks(tasks, real_threads=real_threads,
-                       backend=exec_backend)
-    return MttkrpRun(output=bufs.reduce(), strategy="privatize",
-                     nthreads=nthreads, thread_nnz=thread_nnz,
-                     reduction_flops=bufs.reduction_flops(), report=report,
-                     scatter_backends=_backends_of(report))
-
-
-def _parallel_alto_process(tensor, factors, mode, nthreads, strategy,
-                           fault_policy=None):
-    """True multicore ALTO MTTKRP: the equal-nnz row-disjoint partition
-    executed by the shared-memory process pool (see
-    :func:`repro.parallel.procpool.mttkrp_process_alto`).
-
-    Same degrade contract as the HiCOO path: an exhausted recovery budget
-    under ``fault_policy="degrade"`` re-runs the region in process on the
-    schedule strategy — identical partition and kernels, so the degraded
-    output is bit-identical.
-    """
-    from ..parallel.procpool import mttkrp_process_alto
-    from ..parallel.supervisor import DegradedExecution
-
-    try:
-        with trace.span("mttkrp.parallel", mode=mode, backend="process",
-                        format=tensor.format_name, nthreads=nthreads) as sp:
-            pr = mttkrp_process_alto(tensor, factors, mode, nthreads,
-                                     strategy=strategy,
-                                     fault_policy=fault_policy)
-            run = MttkrpRun(output=pr.output, strategy=pr.strategy,
-                            nthreads=pr.nworkers, thread_nnz=pr.thread_nnz,
-                            reduction_flops=pr.reduction_flops,
-                            schedule=pr.schedule, report=pr.report,
-                            scatter_backends=pr.scatter_backends)
-            sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    except DegradedExecution as exc:
-        return _degrade_alto(tensor, factors, mode, nthreads, strategy, exc)
-    _note_parallel(run, tensor, mode, "process")
-    return run
-
-
-def _degrade_alto(tensor, factors, mode, nthreads, strategy, exc) -> MttkrpRun:
-    """Finish an ALTO MTTKRP whose process region gave up, on the first
-    usable in-process fallback (same partition, same kernels — the result
-    matches what the process backend would have produced)."""
-    from ..util.log import get_logger
-
-    fallbacks = exc.config.fallback_backends or ("sim",)
-    backend = next((b for b in fallbacks if b in ("thread", "sim")), "sim")
-    get_logger("repro.supervisor").warning(
-        "process backend degraded to %r for mode %d: %s", backend, mode, exc)
-    metrics.inc("supervisor.degradations")
-    trace.instant("supervisor.degrade", mode=mode, fallback=backend,
-                  reason=str(exc))
-    with trace.span("mttkrp.parallel", mode=mode, backend=backend,
-                    format=tensor.format_name, nthreads=nthreads,
-                    degraded=True) as sp:
-        run = _parallel_alto(tensor, factors, mode, nthreads, strategy,
-                             real_threads=(backend == "thread"))
-        sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    _note_parallel(run, tensor, mode, backend)
-    return run
-
-
-# ----------------------------------------------------------------------
-# CSF
-# ----------------------------------------------------------------------
-def _parallel_csf(tensor, factors, mode, nthreads, strategy, real_threads):
-    if strategy == "auto":
-        strategy = "subtree"
-    if strategy not in ("subtree", "privatize"):
-        raise ValueError(f"CSF supports 'subtree' or 'privatize', got {strategy!r}")
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-
-    # weight of each root subtree = its leaf count
-    subtree_nnz = _root_subtree_nnz(tensor)
-    ranges = balanced_ranges(subtree_nnz, nthreads)
-    thread_nnz = np.array(
-        [int(subtree_nnz[lo:hi].sum()) for lo, hi in ranges], dtype=np.int64)
-
-    root_is_target = tensor.mode_order[0] == mode
-    shared = root_is_target and strategy == "subtree"
-    out = np.zeros((rows, rank))
-    bufs = None if shared else PrivateBuffers.allocate(nthreads, rows, rank)
-
-    def make_task(tid, lo, hi):
-        def task():
-            target = out if shared else bufs.view(tid)
-            return tensor.subtree_mttkrp(factors, mode, lo, hi, target)
-        return task
-
-    tasks = [make_task(t, lo, hi) for t, (lo, hi) in enumerate(ranges)]
-    # subtree writes are row-disjoint (root mode) and privatized buffers are
-    # race-free, so real threads are safe either way
-    report = run_tasks(tasks, real_threads=real_threads)
-    if not shared:
-        out = bufs.reduce()
-    return MttkrpRun(
-        output=out,
-        strategy="subtree" if shared else "privatize",
-        nthreads=nthreads,
-        thread_nnz=thread_nnz,
-        reduction_flops=bufs.reduction_flops() if bufs else 0,
-        report=report,
-        scatter_backends=_backends_of(report),
-    )
-
-
-def _root_subtree_nnz(tensor: CsfTensor) -> np.ndarray:
-    """Leaf (nonzero) count under each root node."""
-    bounds = np.arange(tensor.levels[0].nnodes + 1)
-    for level in tensor.levels[:-1]:  # compose the levels' child ranges
-        bounds = level.fptr[bounds]
-    return np.diff(bounds)
+                        sum(hi - lo for lo, hi in runs))

@@ -31,7 +31,8 @@ from ..obs import metrics
 from ..parallel.partition import balanced_ranges
 from .gather import TaskGather, coalesce_runs
 
-__all__ = ["ModePlan", "MttkrpPlan", "plan_mttkrp"]
+__all__ = ["ModePlan", "MttkrpPlan", "plan_mode", "plan_mttkrp",
+           "superblocks_for"]
 
 
 @dataclass
@@ -62,6 +63,22 @@ class ModePlan:
         return [[b for lo, hi in runs for b in range(lo, hi)]
                 for runs in self.thread_runs]
 
+    def ensure_gathers(self, tensor: HicooTensor) -> List[TaskGather]:
+        """Fill (and return) this mode's fused gather cache.
+
+        The arrays come from :meth:`HicooTensor.task_gather`, so tasks that
+        recur across modes (privatize ranges are mode-independent) and
+        across plans of the same tensor share one copy.
+        """
+        if self.gathers is None:
+            self.gathers = [tensor.task_gather(runs)
+                            for runs in self.thread_runs]
+        else:
+            # a warm plan reusing its materialized arrays is a hit of the
+            # gather layer, even though the tensor-level dict isn't probed
+            metrics.inc("gather.cache_hits", len(self.gathers))
+        return self.gathers
+
 
 @dataclass
 class MttkrpPlan:
@@ -80,24 +97,15 @@ class MttkrpPlan:
                        mode: Optional[int] = None) -> List[TaskGather]:
         """Fill (and return) the fused gather cache for ``mode``.
 
-        The arrays come from :meth:`HicooTensor.task_gather`, so tasks that
-        recur across modes (privatize ranges are mode-independent) and
-        across plans of the same tensor share one copy.  With ``mode=None``
-        every mode is materialized (useful to pre-pay all symbolic cost
-        before a timed region).
+        With ``mode=None`` every mode is materialized (useful to pre-pay
+        all symbolic cost before a timed region).  See
+        :meth:`ModePlan.ensure_gathers`.
         """
         if mode is None:
-            for m in range(len(self.modes)):
-                self.ensure_gathers(tensor, m)
+            for mp in self.modes:
+                mp.ensure_gathers(tensor)
             return [tg for mp in self.modes for tg in mp.gathers]
-        mp = self.modes[mode]
-        if mp.gathers is None:
-            mp.gathers = [tensor.task_gather(runs) for runs in mp.thread_runs]
-        else:
-            # a warm plan reusing its materialized arrays is a hit of the
-            # gather layer, even though the tensor-level dict isn't probed
-            metrics.inc("gather.cache_hits", len(mp.gathers))
-        return mp.gathers
+        return self.modes[mode].ensure_gathers(tensor)
 
     def gather_cache_bytes(self) -> int:
         """Footprint of the materialized gather arrays (0 until executed)."""
@@ -126,39 +134,47 @@ def plan_mttkrp(tensor: HicooTensor, rank: int, nthreads: int,
         raise ValueError(f"nthreads must be positive, got {nthreads}")
     if strategy not in ("auto", "schedule", "privatize"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    sb_bits = superblock_bits if superblock_bits is not None else min(
-        tensor.block_bits + 3, 20)
-    sbs = build_superblocks(tensor, sb_bits)
-
-    modes: List[ModePlan] = []
-    for mode in range(tensor.nmodes):
-        strat = strategy
-        if strat == "auto":
-            strat = choose_strategy(sbs, mode, nthreads,
-                                    tensor.shape[mode], rank)
-        if strat == "schedule":
-            sched = schedule_mode(sbs, mode, nthreads)
-            thread_runs = [
-                coalesce_runs([sbs.block_range(sb) for sb in sb_list])
-                for sb_list in sched.assignment
-            ]
-            modes.append(ModePlan(mode=mode, strategy="schedule",
-                                  thread_runs=thread_runs,
-                                  schedule=sched,
-                                  thread_nnz=sched.thread_nnz.copy()))
-        else:
-            ranges = balanced_ranges(sbs.nnz_per_superblock, nthreads)
-            thread_runs = [
-                coalesce_runs([(int(sbs.sptr[lo]), int(sbs.sptr[hi]))])
-                if lo < hi else []
-                for lo, hi in ranges
-            ]
-            thread_nnz = np.array(
-                [int(sbs.nnz_per_superblock[lo:hi].sum())
-                 for lo, hi in ranges], dtype=np.int64)
-            modes.append(ModePlan(mode=mode, strategy="privatize",
-                                  thread_runs=thread_runs,
-                                  superblock_ranges=ranges,
-                                  thread_nnz=thread_nnz))
+    sbs = superblocks_for(tensor, superblock_bits)
+    modes = [plan_mode(tensor, sbs, mode, rank, nthreads, strategy)
+             for mode in range(tensor.nmodes)]
     return MttkrpPlan(nthreads=nthreads, rank=rank,
-                      superblock_bits=sb_bits, superblocks=sbs, modes=modes)
+                      superblock_bits=sbs.superblock_bits, superblocks=sbs,
+                      modes=modes)
+
+
+def superblocks_for(tensor: HicooTensor,
+                    superblock_bits: Optional[int] = None) -> SuperblockIndex:
+    """The superblock index plans partition (default: ``b + 3`` bits)."""
+    if superblock_bits is None:
+        superblock_bits = min(tensor.block_bits + 3, 20)
+    return build_superblocks(tensor, superblock_bits)
+
+
+def plan_mode(tensor: HicooTensor, sbs: SuperblockIndex, mode: int,
+              rank: int, nthreads: int, strategy: str = "auto") -> ModePlan:
+    """One mode's recipe: the lock-free superblock schedule or
+    nnz-balanced contiguous superblock ranges into private outputs;
+    ``"auto"`` picks with the paper's heuristic."""
+    if strategy == "auto":
+        strategy = choose_strategy(sbs, mode, nthreads, tensor.shape[mode],
+                                   rank)
+    if strategy == "schedule":
+        sched = schedule_mode(sbs, mode, nthreads)
+        thread_runs = [
+            coalesce_runs([sbs.block_range(sb) for sb in sb_list])
+            for sb_list in sched.assignment
+        ]
+        return ModePlan(mode=mode, strategy="schedule",
+                        thread_runs=thread_runs, schedule=sched,
+                        thread_nnz=sched.thread_nnz.copy())
+    ranges = balanced_ranges(sbs.nnz_per_superblock, nthreads)
+    thread_runs = [
+        coalesce_runs([(int(sbs.sptr[lo]), int(sbs.sptr[hi]))])
+        if lo < hi else []
+        for lo, hi in ranges
+    ]
+    thread_nnz = np.array(
+        [int(sbs.nnz_per_superblock[lo:hi].sum()) for lo, hi in ranges],
+        dtype=np.int64)
+    return ModePlan(mode=mode, strategy="privatize", thread_runs=thread_runs,
+                    superblock_ranges=ranges, thread_nnz=thread_nnz)

@@ -7,7 +7,7 @@ anything.  A daemon thread polls :func:`sys._current_frames` every
 profiled code runs at full speed between samples) and folds each observed
 call stack into a collapsed-stack histogram::
 
-    cli.bench;mttkrp_parallel;_parallel_hicoo;mttkrp_gather_chunk;scatter_add 184
+    cli.bench;mttkrp_parallel;execute;mttkrp_gather_chunk;scatter_add 184
 
 which is exactly the format Brendan Gregg's ``flamegraph.pl`` and
 speedscope's "collapsed" importer consume.  When the span tracer is

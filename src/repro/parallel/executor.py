@@ -14,9 +14,9 @@ three backends:
 * ``"process"`` — worker *processes* over shared memory (true multicore;
   see :mod:`repro.parallel.procpool`).  Tasks must be picklable zero-arg
   callables (module-level functions, ``functools.partial`` of them, …);
-  the specialized MTTKRP path does not go through this generic entry but
-  through :func:`repro.parallel.procpool.mttkrp_process`, which shares the
-  tensor structure zero-copy instead of pickling it.
+  the MTTKRP path does not go through this generic entry but through
+  :func:`repro.parallel.procpool.run_region`, which shares the region's
+  source zero-copy instead of pickling it.
 
 Exceptions raised inside a task always propagate to the caller with the
 original traceback — never swallowed into a partial
@@ -59,7 +59,6 @@ class ExecutionReport:
     """Per-thread timing of one parallel region."""
 
     results: List[TaskResult] = field(default_factory=list)
-    real_threads: bool = False
     #: which backend executed the region ("sim", "thread", or "process")
     backend: str = "sim"
 
@@ -85,11 +84,10 @@ class ExecutionReport:
         return [r.value for r in self.results]
 
 
-def resolve_backend(backend: Optional[str], real_threads: bool = False) -> str:
-    """Normalize the (backend, legacy real_threads flag) pair to a name."""
-    if backend is None:
-        return "thread" if real_threads else "sim"
-    if backend in ("seq", "sequential"):
+def resolve_backend(backend: Optional[str]) -> str:
+    """Normalize a backend name (``None`` and the sequential aliases are
+    ``"sim"``)."""
+    if backend in (None, "seq", "sequential"):
         return "sim"
     if backend not in BACKENDS:
         raise ValueError(
@@ -98,15 +96,13 @@ def resolve_backend(backend: Optional[str], real_threads: bool = False) -> str:
 
 
 def run_tasks(tasks: Sequence[Callable[[], object]],
-              real_threads: bool = False,
               backend: Optional[str] = None,
               nworkers: Optional[int] = None,
               fault_policy=None) -> ExecutionReport:
     """Execute one callable per logical thread on the chosen backend.
 
-    ``backend=None`` keeps the legacy semantics: ``"thread"`` when
-    ``real_threads`` is set, ``"sim"`` otherwise.  ``nworkers`` caps the
-    worker count of the process backend (default: one per task).
+    ``backend=None`` is ``"sim"``.  ``nworkers`` caps the worker count of
+    the process backend (default: one per task).
 
     A task that raises aborts the region: the exception propagates with its
     original traceback (for process workers, the remote traceback is chained
@@ -117,7 +113,7 @@ def run_tasks(tasks: Sequence[Callable[[], object]],
     recovery budget is exhausted — see
     :mod:`repro.parallel.supervisor` and ``docs/fault_tolerance.md``.
     """
-    backend = resolve_backend(backend, real_threads)
+    backend = resolve_backend(backend)
     if backend == "process":
         from .procpool import run_generic_tasks
 
@@ -139,8 +135,7 @@ def run_tasks(tasks: Sequence[Callable[[], object]],
         if resolve_kernel_backend(backend) == "numpy":
             backend = "sim"
 
-    report = ExecutionReport(real_threads=(backend == "thread"),
-                             backend=backend)
+    report = ExecutionReport(backend=backend)
 
     def timed_call(pair):
         tid, task = pair

@@ -1,26 +1,31 @@
 """True multicore MTTKRP: a shared-memory process backend.
 
-The GIL caps what the thread backend can overlap, so this module runs
-superblock task partitions in worker *processes*:
+The GIL caps what the thread backend can overlap, so this module runs the
+tasks of a :class:`~repro.kernels.region.Region` in worker *processes*:
 
-* the HiCOO structure arrays (``bptr``, ``binds``, ``einds``, ``values``)
+* the region's source — HiCOO's compressed block arrays (``bptr``,
+  ``binds``, ``einds``, ``values``) or a flat
+  :class:`~repro.kernels.gather.TaskGather` (ALTO's mode or linear view) —
   and the dense factor matrices live in ``multiprocessing.shared_memory``
   segments, placed once per tensor and mapped zero-copy by every worker;
-* each worker computes its scheduler-assigned superblock group straight
-  into the shared mode-``m`` output — safe without locks because the
-  lock-free schedule guarantees the groups write disjoint output rows;
-* the privatized fallback (non-row-disjoint partitions) gives each worker
-  a private slab of one shared buffer and the parent reduces the slabs;
+  workers rebuild each task from its runs (``build_task_gather`` over the
+  blocks, :meth:`TaskGather.slice` of a flat view) and memoize it;
+* each worker computes its task straight into the shared mode-``m``
+  output — safe without locks because row-disjoint regions guarantee the
+  tasks write disjoint output rows;
+* privatized regions give each worker a private slab of one shared buffer
+  and the parent reduces the slabs;
 * workers are reused across calls (a warm pool keyed by worker count), so
   CP-ALS pays process start-up once per run, not once per iteration;
 * per-task spans and counters measured inside the workers are shipped back
   over the result pipe and merged into the parent's tracer/registry.
 
-Lifecycle: segments are created by a :class:`SharedMttkrpSession` (cached
-on the tensor, like the gather cache), closed+unlinked by
-:func:`release_shared` or at interpreter exit.  Workers attach segments by
-name and keep them mapped until shutdown; on Linux an unlinked segment
-stays valid for already-attached processes, so teardown order is safe.
+Lifecycle: segments are created by a :class:`SharedMttkrpSession` (one per
+tensor and worker count, cached on the tensor like the gather cache),
+closed+unlinked by :func:`release_shared` or at interpreter exit.  Workers
+attach segments by name and keep them mapped until shutdown; on Linux an
+unlinked segment stays valid for already-attached processes, so teardown
+order is safe.
 
 See ``docs/parallel_backends.md`` for when to prefer which backend.
 """
@@ -35,7 +40,7 @@ import traceback
 import uuid
 import weakref
 import multiprocessing as mp
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,14 +53,14 @@ from .executor import ExecutionReport, TaskResult
 __all__ = [
     "ShmArraySpec",
     "SharedTensorHandle",
+    "SharedGatherHandle",
     "SharedMttkrpSession",
     "ProcPool",
     "WorkerTaskError",
     "get_pool",
     "shutdown_pools",
-    "mttkrp_process",
-    "mttkrp_process_alto",
     "release_shared",
+    "run_region",
     "run_generic_tasks",
     "default_start_method",
 ]
@@ -146,26 +151,39 @@ class ShmArena:
     def total_bytes(self) -> int:
         return sum(s.size for s in self._segments.values())
 
+    def names(self) -> Tuple[str, ...]:
+        """Names of the owned segments."""
+        return tuple(self._segments)
+
+    def free(self, spec: ShmArraySpec) -> None:
+        """Close and unlink the segment behind ``spec``."""
+        _unlink(self._segments.pop(spec.name))
+
     def close(self) -> None:
         """Close and unlink every owned segment (idempotent)."""
         for shm in self._segments.values():
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover
-                pass
-            try:
-                shm.unlink()
-            except Exception:  # pragma: no cover - already unlinked
-                pass
+            _unlink(shm)
         self._segments.clear()
+
+
+def _unlink(shm: shared_memory.SharedMemory) -> None:
+    try:
+        shm.close()
+    except Exception:  # pragma: no cover
+        pass
+    try:
+        shm.unlink()
+    except Exception:  # pragma: no cover - already unlinked
+        pass
 
 
 @dataclass(frozen=True)
 class SharedTensorHandle:
-    """Picklable handle to a HiCOO structure placed in shared memory.
+    """Picklable handle to HiCOO block arrays placed in shared memory.
 
-    ``key`` is unique per session; workers use it to key their symbolic
-    gather caches, so a re-shared tensor never aliases stale entries.
+    ``key`` is unique per session and source; workers use it to key their
+    symbolic gather caches, so a re-shared tensor never aliases stale
+    entries.
     """
 
     key: str
@@ -175,6 +193,42 @@ class SharedTensorHandle:
     binds: ShmArraySpec
     einds: ShmArraySpec
     values: ShmArraySpec
+
+    def specs(self) -> Tuple[ShmArraySpec, ...]:
+        return (self.bptr, self.binds, self.einds, self.values)
+
+    def task_gather(self, attach, runs):
+        """Worker side: the task over block ``runs``, rebuilt from the
+        shared arrays."""
+        from ..kernels.gather import build_task_gather
+
+        return build_task_gather(_TensorView(self, attach), runs)
+
+
+@dataclass(frozen=True)
+class SharedGatherHandle:
+    """Picklable handle to a flat :class:`~repro.kernels.gather.TaskGather`
+    (ALTO's mode or linear view) placed in shared memory."""
+
+    key: str
+    ginds: ShmArraySpec
+    values: ShmArraySpec
+    sorted_modes: Tuple[bool, ...]
+
+    def specs(self) -> Tuple[ShmArraySpec, ...]:
+        return (self.ginds, self.values)
+
+    def task_gather(self, attach, runs):
+        """Worker side: nonzeros ``[lo, hi)`` of the view, cut with the
+        same :meth:`TaskGather.slice` the parent's task used."""
+        from ..kernels.gather import TaskGather
+
+        (lo, hi), = runs
+        view = TaskGather(runs=((0, self.ginds.shape[0]),),
+                          ginds=attach(self.ginds),
+                          values=attach(self.values),
+                          sorted_modes=np.array(self.sorted_modes))
+        return view.slice(lo, hi)
 
 
 class _TensorView:
@@ -213,11 +267,10 @@ def _worker_main(conn, worker_id: int) -> None:
     metrics.reset()
     metrics.enable()
 
-    from ..kernels.gather import build_task_gather, mttkrp_gather_chunk
+    from ..kernels.gather import mttkrp_gather_chunk
 
     shm_cache: Dict[str, shared_memory.SharedMemory] = {}
     array_cache: Dict[ShmArraySpec, np.ndarray] = {}
-    tensor_cache: Dict[str, _TensorView] = {}
     gather_cache: Dict[tuple, object] = {}
     chaos_state = None  # ChaosState once a ("chaos", plan) message arrives
     task_seq = 0  # compute tasks executed by this worker slot (1-based)
@@ -239,19 +292,13 @@ def _worker_main(conn, worker_id: int) -> None:
             array_cache[spec] = arr
         return arr
 
-    def tensor_view(handle: SharedTensorHandle) -> _TensorView:
-        tv = tensor_cache.get(handle.key)
-        if tv is None:
-            tv = tensor_cache[handle.key] = _TensorView(handle, attach)
-        return tv
-
-    def gather_for(tv: _TensorView, key: str, runs: tuple):
-        ck = (key, runs)
+    def gather_for(handle, runs: tuple):
+        ck = (handle.key, runs)
         tg = gather_cache.get(ck)
         if tg is None:
             if len(gather_cache) >= _WORKER_GATHER_CACHE_CAP:
                 gather_cache.clear()
-            tg = gather_cache[ck] = build_task_gather(tv, runs)
+            tg = gather_cache[ck] = handle.task_gather(attach, runs)
         return tg
 
     while True:
@@ -296,10 +343,9 @@ def _worker_main(conn, worker_id: int) -> None:
                 t0 = time.perf_counter()
                 with trace.span("procpool.task", worker=worker_id,
                                 mode=mode, pid=os.getpid()):
-                    tv = tensor_view(handle)
                     factors = [attach(s) for s in factor_specs]
                     out = attach(out_spec)
-                    tg = gather_for(tv, handle.key, tuple(runs))
+                    tg = gather_for(handle, runs)
                     if reset:
                         # a retried task re-runs idempotently: zero what it
                         # owns first.  Row-local tasks own exactly the rows
@@ -396,7 +442,7 @@ class ProcPool:
         self.nworkers = nworkers
         # one submit->collect region at a time: task ids are region-local,
         # so two threads interleaving on the same pool would cross-attribute
-        # replies.  Region callers (SharedMttkrpSession.run_mode,
+        # replies.  Region callers (SharedMttkrpSession.run,
         # run_generic_tasks) hold this for their whole region; the serve
         # daemon's concurrent executors therefore share warm pools safely.
         self.region_lock = threading.RLock()
@@ -616,12 +662,17 @@ _LIVE_SESSIONS: "weakref.WeakSet" = weakref.WeakSet()
 
 
 class SharedMttkrpSession:
-    """Shared-memory residency of one HiCOO tensor plus its dense operands.
+    """Shared-memory residency of one tensor's region sources plus its dense
+    operands.
 
-    Created once per (tensor, nworkers) and cached on the tensor; the
-    structure arrays are copied into shared segments a single time, factor
-    slots are rewritten in place every call (a memcpy, no pickling), and the
-    output/privatized slabs are recycled across modes and iterations.
+    Created once per (tensor, nworkers) and cached on the tensor.  Each
+    source a region runs over — HiCOO's block arrays, or one of ALTO's flat
+    views — is copied into shared segments the first time a region uses it;
+    factor slots are rewritten in place every call (a memcpy, no pickling),
+    and the output/privatized slabs are recycled across modes and
+    iterations.  The slots are sized by the largest rank seen: a smaller
+    rank uses a ``(rows, R)`` prefix view, so mixed-rank request streams
+    do not grow the arena.
 
     **Ownership.** The factor slots and output/privatized slabs are
     single-occupancy, so concurrent callers (the serve daemon's executor
@@ -636,19 +687,14 @@ class SharedMttkrpSession:
     def __init__(self, tensor, nworkers: int) -> None:
         self.nworkers = nworkers
         self.arena = ShmArena()
-        self.key = uuid.uuid4().hex
         self.shape = tuple(tensor.shape)
-        self.handle = SharedTensorHandle(
-            key=self.key,
-            block_bits=tensor.block_bits,
-            shape=self.shape,
-            bptr=self.arena.share(tensor.bptr),
-            binds=self.arena.share(tensor.binds),
-            einds=self.arena.share(tensor.einds),
-            values=self.arena.share(tensor.values),
-        )
+        #: id(source) -> (weakref to the source, handle); the weakref tells
+        #: a live source from a new object that reuses a dead one's id
+        self._sources: Dict[int, tuple] = {}
         self.rank: Optional[int] = None
         self.factor_specs: List[ShmArraySpec] = []
+        self._capacity = 0  # the rank the slots are sized for
+        self._factor_slots: List[ShmArraySpec] = []
         self._out_spec: Optional[ShmArraySpec] = None
         self._priv_spec: Optional[ShmArraySpec] = None
         self._closed = False
@@ -658,20 +704,57 @@ class SharedMttkrpSession:
         self._exec_lock = threading.RLock()
         _LIVE_SESSIONS.add(self)
         metrics.inc("procpool.sessions")
+
+    def _gauge(self) -> None:
         metrics.set_gauge("procpool.shared_bytes", self.arena.total_bytes())
+
+    # -- shared sources ------------------------------------------------
+    def share(self, source):
+        """The handle of ``source`` (block arrays or a flat TaskGather),
+        copied into shared memory on first use."""
+        entry = self._sources.get(id(source))
+        if entry is None or entry[0]() is not source:
+            key = uuid.uuid4().hex
+            if hasattr(source, "bptr"):
+                handle = SharedTensorHandle(
+                    key=key, block_bits=source.block_bits, shape=self.shape,
+                    bptr=self.arena.share(source.bptr),
+                    binds=self.arena.share(source.binds),
+                    einds=self.arena.share(source.einds),
+                    values=self.arena.share(source.values))
+            else:
+                handle = SharedGatherHandle(
+                    key=key, ginds=self.arena.share(source.ginds),
+                    values=self.arena.share(source.values),
+                    sorted_modes=tuple(bool(f) for f in source.sorted_modes))
+            entry = self._sources[id(source)] = (weakref.ref(source), handle)
+            self._gauge()
+        return entry[1]
 
     # -- dense operand slots ------------------------------------------
     def ensure_rank(self, rank: int) -> None:
-        """(Re)allocate factor and output slots for decomposition rank R."""
-        if self.rank == rank:
-            return
-        self.rank = rank
-        maxrows = max(self.shape)
-        self.factor_specs = [self.arena.alloc((dim, rank))
-                             for dim in self.shape]
-        self._out_spec = self.arena.alloc((maxrows, rank))
-        self._priv_spec = None  # lazily sized on first privatized call
-        metrics.set_gauge("procpool.shared_bytes", self.arena.total_bytes())
+        """Point the factor and output slots at decomposition rank R.
+
+        The slots are reallocated only when R exceeds every rank seen so
+        far (the replaced segments are unlinked); smaller ranks use a
+        ``(rows, R)`` prefix of each slot."""
+        if rank > self._capacity:
+            for spec in self._factor_slots + [self._out_spec,
+                                              self._priv_spec]:
+                if spec is not None:
+                    self.arena.free(spec)
+            self._capacity = rank
+            self._factor_slots = [self.arena.alloc((dim, rank))
+                                  for dim in self.shape]
+            self._out_spec = self.arena.alloc((max(self.shape), rank))
+            self._priv_spec = None  # lazily sized on first privatized call
+            self._gauge()
+        if rank != self.rank:
+            self.rank = rank
+            self.factor_specs = [ShmArraySpec(name=s.name, shape=(dim, rank),
+                                              dtype=s.dtype)
+                                 for s, dim in zip(self._factor_slots,
+                                                   self.shape)]
 
     def _out_view(self, rows: int) -> Tuple[ShmArraySpec, np.ndarray]:
         spec = ShmArraySpec(name=self._out_spec.name, shape=(rows, self.rank),
@@ -683,10 +766,10 @@ class SharedMttkrpSession:
         maxrows = max(self.shape)
         if self._priv_spec is None:
             self._priv_spec = self.arena.alloc(
-                (self.nworkers, maxrows, self.rank))
-            metrics.set_gauge("procpool.shared_bytes",
-                              self.arena.total_bytes())
-        stride = maxrows * self.rank * np.dtype(self._priv_spec.dtype).itemsize
+                (self.nworkers, maxrows, self._capacity))
+            self._gauge()
+        stride = (maxrows * self._capacity
+                  * np.dtype(self._priv_spec.dtype).itemsize)
         pairs = []
         for t in range(self.nworkers):
             spec = ShmArraySpec(name=self._priv_spec.name,
@@ -697,15 +780,16 @@ class SharedMttkrpSession:
         return pairs
 
     # -- execution -----------------------------------------------------
-    def run_mode(self, pool: ProcPool, factors: Sequence[np.ndarray],
-                 mode: int, thread_runs, strategy: str,
-                 timeout: Optional[float] = None, fault_config=None):
-        """One parallel MTTKRP over pre-partitioned block runs.
+    def run(self, pool: ProcPool, factors: Sequence[np.ndarray], mode: int,
+            source, thread_runs, row_local: bool, fault_config):
+        """One parallel MTTKRP: task ``t`` runs ``thread_runs[t]`` over
+        ``source`` on worker ``t``, into the shared output (``row_local``:
+        the tasks own disjoint rows) or its private slab.
 
-        Returns ``(output, report, backends)`` where ``output`` is an owned
-        (non-shared) array, ``report`` an :class:`ExecutionReport` built
-        from worker-measured task times, and ``backends`` the deduplicated
-        scatter backends the workers used.
+        Returns ``(output, report)`` where ``output`` is an owned
+        (non-shared) array and ``report`` an :class:`ExecutionReport` built
+        from worker-measured task times, valued by the scatter backend each
+        task used.
 
         ``fault_config`` is a resolved
         :class:`repro.parallel.supervisor.FaultConfig`; with a ``retry`` or
@@ -722,17 +806,16 @@ class SharedMttkrpSession:
         self.acquire()
         try:
             with self._exec_lock, pool.region_lock:
-                return self._run_mode_locked(
-                    pool, factors, mode, thread_runs, strategy,
-                    timeout=timeout, fault_config=fault_config)
+                return self._run_locked(pool, factors, mode, source,
+                                        thread_runs, row_local, fault_config)
         finally:
             self.release()
 
-    def _run_mode_locked(self, pool: ProcPool,
-                         factors: Sequence[np.ndarray],
-                         mode: int, thread_runs, strategy: str,
-                         timeout: Optional[float] = None, fault_config=None):
+    def _run_locked(self, pool: ProcPool, factors: Sequence[np.ndarray],
+                    mode: int, source, thread_runs, row_local: bool,
+                    fault_config):
         rank = factors[0].shape[1]
+        handle = self.share(source)
         self.ensure_rank(rank)
         rows = self.shape[mode]
         for spec, factor in zip(self.factor_specs, factors):
@@ -745,7 +828,6 @@ class SharedMttkrpSession:
             pool.install_chaos(chaos_plan)
 
         want_trace = trace.enabled()
-        row_local = strategy == "schedule"
         if row_local:
             out_spec, out_view = self._out_view(rows)
             out_view[...] = 0.0
@@ -757,7 +839,7 @@ class SharedMttkrpSession:
 
         def msg_builder(t, runs, target_spec):
             def build(reset: bool) -> tuple:
-                return ("mttkrp", t, self.handle, self.factor_specs, mode,
+                return ("mttkrp", t, handle, self.factor_specs, mode,
                         tuple(tuple(r) for r in runs), target_spec,
                         row_local, want_trace, reset)
             return build
@@ -765,10 +847,10 @@ class SharedMttkrpSession:
         builders = {t: msg_builder(t, runs, targets[t][0])
                     for t, runs in enumerate(thread_runs)}
 
-        if fault_config is not None and fault_config.policy != "fail-fast":
+        if fault_config.policy != "fail-fast":
             from .supervisor import Supervisor
 
-            sup = Supervisor(pool, fault_config, deadline=timeout)
+            sup = Supervisor(pool, fault_config)
             results = sup.run({t: (t, build)
                                for t, build in builders.items()})
         else:
@@ -776,17 +858,14 @@ class SharedMttkrpSession:
             for t, build in builders.items():
                 pool.submit(t, build(False))
                 expected[t] = t
-            results = pool.collect(expected, timeout=timeout)
+            results = pool.collect(expected)
 
         report = ExecutionReport(backend="process")
-        backends = set()
         reg = metrics.get_registry()
         for t in sorted(results):
             elapsed, backend, nnz, events, mstats = results[t]
             report.results.append(TaskResult(tid=t, elapsed=elapsed,
                                              value=backend))
-            if isinstance(backend, str) and backend not in ("noop", ""):
-                backends.add(backend)
             if reg.enabled:
                 reg.inc("procpool.tasks")
                 reg.observe("procpool.task_seconds", elapsed,
@@ -806,13 +885,13 @@ class SharedMttkrpSession:
             output = np.zeros((rows, rank))
             for _, view in targets:
                 output += view
-        return output, report, tuple(sorted(backends))
+        return output, report
 
     # -- lifecycle -----------------------------------------------------
     def structure_specs(self) -> Tuple[ShmArraySpec, ...]:
-        """The shared segments holding the tensor structure arrays."""
-        h = self.handle
-        return (h.bptr, h.binds, h.einds, h.values)
+        """The shared segments holding the tensor's region sources."""
+        return tuple(spec for _, handle in self._sources.values()
+                     for spec in handle.specs())
 
     def acquire(self) -> "SharedMttkrpSession":
         """Take a reference; the arena stays mapped until :meth:`release`."""
@@ -892,165 +971,40 @@ def release_shared(tensor) -> None:
     concurrent jobs) are marked for teardown and unlinked by the job's
     closing :meth:`SharedMttkrpSession.release` instead — the call never
     blocks and never breaks a running kernel.
-
-    ALTO tensors hold their sessions on per-mode proxy views
-    (:meth:`repro.formats.alto.AltoTensor.proc_view`); those are released
-    here too, so one call covers every format.
     """
     with _SESSIONS_LOCK:
         sessions = dict(tensor.__dict__.get("_proc_sessions") or {})
         (tensor.__dict__.get("_proc_sessions") or {}).clear()
-        views = list((tensor.__dict__.get("_proc_views") or {}).values())
     for session in sessions.values():
         session.close()
-    for view in views:
-        release_shared(view)
 
 
 # ----------------------------------------------------------------------
-# entry points
+# entry point
 # ----------------------------------------------------------------------
-@dataclass
-class ProcessRun:
-    """Raw result of a process-backend MTTKRP (wrapped into MttkrpRun by
-    :func:`repro.kernels.mttkrp.mttkrp_parallel`)."""
+def run_region(region, factors: Sequence[np.ndarray], fault_config):
+    """Run a :class:`~repro.kernels.region.Region` on real cores: one
+    worker per task, over the tensor's shared session.
 
-    output: np.ndarray
-    strategy: str
-    nworkers: int
-    thread_nnz: np.ndarray
-    schedule: object = None
-    report: ExecutionReport = field(default_factory=ExecutionReport)
-    scatter_backends: tuple = ()
-    reduction_flops: int = 0
-
-
-def mttkrp_process(tensor, factors: Sequence[np.ndarray], mode: int,
-                   nworkers: int, strategy: str = "auto",
-                   superblock_bits: Optional[int] = None,
-                   plan=None, start_method: Optional[str] = None,
-                   timeout: Optional[float] = None,
-                   fault_policy=None) -> ProcessRun:
-    """Parallel HiCOO MTTKRP on real cores via the shared-memory pool.
-
-    ``plan`` is an optional precomputed
-    :class:`repro.kernels.plan.MttkrpPlan`; without one, a per-call plan is
-    built (and its symbolic partition reused through the session's worker
-    caches on later calls).
-
-    ``fault_policy`` is ``"fail-fast"`` (default), ``"retry"``,
-    ``"degrade"``, or a :class:`repro.parallel.supervisor.FaultConfig`; see
+    ``fault_config`` is a resolved
+    :class:`repro.parallel.supervisor.FaultConfig`; see
     ``docs/fault_tolerance.md``.  With ``"degrade"``, exhausted recovery
-    budgets surface as :class:`~repro.parallel.supervisor.DegradedExecution`
-    which :func:`repro.kernels.mttkrp.mttkrp_parallel` converts into a
-    fallback-backend run.
+    budgets surface as :class:`~repro.parallel.supervisor.DegradedExecution`,
+    which :func:`repro.kernels.mttkrp.execute` turns into a fallback-backend
+    run of the same region.  Returns ``(output, report)`` as
+    :meth:`SharedMttkrpSession.run`.
     """
-    from ..core.hicoo import HicooTensor
-    from ..kernels.plan import plan_mttkrp
-    from .supervisor import FaultConfig
-
-    if not isinstance(tensor, HicooTensor):
-        raise TypeError(
-            "the process backend shares HiCOO structure arrays; got "
-            f"{type(tensor).__name__} — convert with HicooTensor(coo) first")
-    fault_config = FaultConfig.resolve(fault_policy)
-    rank = factors[0].shape[1]
-    if plan is None:
-        plan = plan_mttkrp(tensor, rank, nworkers, strategy=strategy,
-                           superblock_bits=superblock_bits)
-    nworkers = plan.nthreads
-    mp_ = plan.for_mode(mode)
-
-    with trace.span("mttkrp.process", mode=mode, nworkers=nworkers,
-                    strategy=mp_.strategy, fault_policy=fault_config.policy):
-        pool = get_pool(nworkers, start_method=start_method)
-        session = _session_for(tensor, nworkers)
-        output, report, backends = session.run_mode(
-            pool, factors, mode, mp_.thread_runs, mp_.strategy,
-            timeout=timeout, fault_config=fault_config)
-    metrics.inc("procpool.calls")
-
-    reduction_flops = 0
-    if mp_.strategy != "schedule":
-        reduction_flops = (nworkers - 1) * tensor.shape[mode] * rank
-    return ProcessRun(output=output, strategy=mp_.strategy,
-                      nworkers=nworkers,
-                      thread_nnz=mp_.thread_nnz.copy(),
-                      schedule=mp_.schedule, report=report,
-                      scatter_backends=backends,
-                      reduction_flops=reduction_flops)
-
-
-def mttkrp_process_alto(tensor, factors: Sequence[np.ndarray], mode: int,
-                        nworkers: int, strategy: str = "auto",
-                        start_method: Optional[str] = None,
-                        timeout: Optional[float] = None,
-                        fault_policy=None) -> ProcessRun:
-    """Parallel ALTO MTTKRP on real cores via the shared-memory pool.
-
-    The mode's output-space view rides the **unchanged** HiCOO worker path
-    through a duck-typed proxy (one ``bptr`` "block" per output-row
-    segment, all-zero ``binds``, ``block_bits=0`` — the worker's
-    ``(binds << b) + einds`` reconstruction returns the mode-sorted global
-    coordinates exactly).  Tasks are the same equal-nnz row-disjoint
-    segment ranges as the in-process schedule, so the shared-output region
-    is lock-free, reset-and-retry stays idempotent (a retried task zeroes
-    exactly the rows its ``ginds`` name), and the result is bit-identical
-    to the sim backend.
-
-    ``strategy="privatize"`` runs the same segment ranges into per-worker
-    slabs plus one parent reduction (ULP-equivalent, not bitwise).
-    """
-    from ..formats.alto import AltoTensor
-    from .supervisor import FaultConfig
-
-    if not isinstance(tensor, AltoTensor):
-        raise TypeError(
-            "mttkrp_process_alto needs an AltoTensor; got "
-            f"{type(tensor).__name__}")
-    if strategy == "auto":
-        strategy = "schedule"
-    if strategy not in ("schedule", "privatize"):
-        raise ValueError(
-            f"ALTO supports 'schedule' or 'privatize', got {strategy!r}")
-    fault_config = FaultConfig.resolve(fault_policy)
-    rank = factors[0].shape[1]
-    view = tensor.proc_view(mode)
-    bounds = view.bptr
-    seg_ranges = balanced_ranges_segments(bounds, nworkers)
-    thread_runs = [[(slo, shi)] for slo, shi in seg_ranges]
-    thread_nnz = np.array(
-        [int(bounds[shi] - bounds[slo]) for slo, shi in seg_ranges],
-        dtype=np.int64)
-
-    with trace.span("mttkrp.process", mode=mode, nworkers=nworkers,
-                    strategy=strategy, format="alto",
+    nworkers = region.nthreads
+    with trace.span("mttkrp.process", mode=region.mode, nworkers=nworkers,
+                    strategy=region.strategy, format=region.format,
                     fault_policy=fault_config.policy):
-        pool = get_pool(nworkers, start_method=start_method)
-        session = _session_for(view, nworkers)
-        output, report, backends = session.run_mode(
-            pool, factors, mode, thread_runs, strategy,
-            timeout=timeout, fault_config=fault_config)
+        pool = get_pool(nworkers)
+        session = _session_for(region.tensor, nworkers)
+        result = session.run(pool, factors, region.mode, region.source,
+                             region.runs, region.output == "shared",
+                             fault_config)
     metrics.inc("procpool.calls")
-
-    reduction_flops = 0
-    if strategy != "schedule":
-        reduction_flops = (nworkers - 1) * tensor.shape[mode] * rank
-    return ProcessRun(output=output, strategy=strategy, nworkers=nworkers,
-                      thread_nnz=thread_nnz, schedule=None, report=report,
-                      scatter_backends=backends,
-                      reduction_flops=reduction_flops)
-
-
-def balanced_ranges_segments(bounds: np.ndarray, nparts: int):
-    """Equal-nnz contiguous split of segment space (``bounds`` = segment
-    boundary offsets, length nsegments+1) — the partition shared by the
-    in-process ALTO schedule and the process backend, so both cut tasks at
-    identical places."""
-    from .partition import balanced_ranges
-
-    weights = np.diff(bounds)
-    return balanced_ranges(weights, nparts)
+    return result
 
 
 def run_generic_tasks(tasks, nworkers: Optional[int] = None,

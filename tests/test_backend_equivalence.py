@@ -398,6 +398,15 @@ def test_alto_process_backend_bitwise(seed):
             _check_against_oracle(priv.output, oracle,
                                   f"seed={seed} mode={mode} alto "
                                   "process/privatize")
+            # one partition on every backend: the process run cuts the
+            # same linear-view chunks as sim, so the bits match too
+            sim = mttkrp_parallel(alto, factors, mode, nworkers,
+                                  strategy="privatize", backend="sim")
+            assert np.array_equal(priv.output, sim.output), (
+                f"seed={seed} mode={mode}: alto process/privatize diverged "
+                "bitwise from sim/privatize")
+            assert np.array_equal(priv.thread_nnz, sim.thread_nnz)
+            CASES["count"] += 1
     finally:
         procpool.release_shared(alto)
 

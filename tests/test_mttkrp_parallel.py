@@ -107,6 +107,6 @@ class TestRealThreads:
         hic = HicooTensor(small3d, block_bits=2)
         ref = mttkrp(small3d, factors3d, 0)
         run = mttkrp_parallel(hic, factors3d, 0, 4, strategy="schedule",
-                              real_threads=True)
+                              backend="thread")
         np.testing.assert_allclose(run.output, ref, atol=1e-10)
-        assert run.report.real_threads
+        assert run.report.backend == "thread"

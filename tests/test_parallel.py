@@ -113,9 +113,9 @@ class TestRunTasks:
         assert report.makespan() <= report.total_work_time() + 1e-12
 
     def test_real_threads(self):
-        report = run_tasks([lambda i=i: i for i in range(3)], real_threads=True)
+        report = run_tasks([lambda i=i: i for i in range(3)], backend="thread")
         assert sorted(report.values()) == [0, 1, 2]
-        assert report.real_threads
+        assert report.backend == "thread"
 
     def test_empty(self):
         report = run_tasks([])

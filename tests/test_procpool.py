@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.hicoo import HicooTensor
+from repro.formats.alto import AltoTensor
 from repro.kernels.mttkrp import mttkrp_parallel
 from repro.obs import metrics, trace
 from repro.parallel import procpool
@@ -54,7 +55,6 @@ def _sleep_return(x):
 # ----------------------------------------------------------------------
 def test_resolve_backend():
     assert resolve_backend(None) == "sim"
-    assert resolve_backend(None, real_threads=True) == "thread"
     assert resolve_backend("seq") == "sim"
     assert resolve_backend("sequential") == "sim"
     for b in BACKENDS:
@@ -92,7 +92,7 @@ def test_run_tasks_process_propagates_remote_traceback():
 
 def test_run_tasks_thread_legacy_flag_still_works():
     report = run_tasks([partial(_sleep_return, i) for i in range(4)],
-                       real_threads=True)
+                       backend="thread")
     assert report.backend == "thread"
     assert report.values() == [1, 2, 3, 4]
 
@@ -154,23 +154,60 @@ def test_warm_pool_and_session_reuse_counters():
         procpool.release_shared(hic)
 
 
+def _make_alto(seed=0):
+    return AltoTensor(make_random_coo((16, 14, 12), nnz=150, seed=seed))
+
+
 def test_release_shared_unlinks_segments():
-    hic = _make_hicoo(seed=1)
-    rng = np.random.default_rng(1)
-    factors = [rng.random((s, 3)) for s in hic.shape]
-    mttkrp_parallel(hic, factors, 0, 2, backend="process")
-    sessions = hic.__dict__.get("_proc_sessions")
-    assert sessions, "session should be cached on the tensor"
-    names = [spec.name for spec in
-             next(iter(sessions.values())).structure_specs()]
-    assert names
-    procpool.release_shared(hic)
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-    assert not hic.__dict__.get("_proc_sessions")
-    # releasing twice is a no-op
-    procpool.release_shared(hic)
+    for tensor in (_make_hicoo(seed=1), _make_alto(seed=1)):
+        rng = np.random.default_rng(1)
+        factors = [rng.random((s, 3)) for s in tensor.shape]
+        for mode in range(tensor.nmodes):
+            mttkrp_parallel(tensor, factors, mode, 2, backend="process")
+        sessions = tensor.__dict__.get("_proc_sessions")
+        assert sessions and len(sessions) == 1, (
+            f"{tensor.format_name}: one session per tensor, got "
+            f"{len(sessions or ())}")
+        session = next(iter(sessions.values()))
+        assert session.structure_specs()
+        names = session.arena.names()
+        assert names
+        procpool.release_shared(tensor)
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        assert not tensor.__dict__.get("_proc_sessions")
+        # releasing twice is a no-op
+        procpool.release_shared(tensor)
+
+
+@pytest.mark.parametrize("make", [_make_hicoo, _make_alto],
+                         ids=["hicoo", "alto"])
+def test_session_slots_stable_under_rank_changes(make):
+    """Alternating ranks reuse the slots of the largest rank seen: after
+    the first cycle the arena neither adds segments nor grows.  Three
+    workers, so on a two-core host they outnumber the cores."""
+    tensor = make(seed=3)
+    rng = np.random.default_rng(3)
+    by_rank = {r: [rng.random((s, r)) for s in tensor.shape] for r in (2, 4)}
+    sizes = []
+    try:
+        for cycle in range(3):
+            for rank, factors in by_rank.items():
+                for mode in range(tensor.nmodes):
+                    run = mttkrp_parallel(tensor, factors, mode, 3,
+                                          backend="process")
+                    sim = mttkrp_parallel(tensor, factors, mode, 3,
+                                          backend="sim")
+                    assert run.report.backend == "process"
+                    assert np.array_equal(run.output, sim.output), (
+                        f"cycle={cycle} rank={rank} mode={mode}")
+            session, = tensor.__dict__["_proc_sessions"].values()
+            sizes.append((len(session.arena.names()),
+                          session.arena.total_bytes()))
+        assert sizes[1] == sizes[0] and sizes[2] == sizes[0], sizes
+    finally:
+        procpool.release_shared(tensor)
 
 
 def test_worker_spans_merge_into_parent_trace():

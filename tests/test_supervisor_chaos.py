@@ -31,6 +31,7 @@ import pytest
 from repro import testing
 from repro.core.hicoo import HicooTensor
 from repro.cpd.cp_als import cp_als
+from repro.formats.alto import AltoTensor
 from repro.kernels.mttkrp import mttkrp_parallel
 from repro.obs import metrics, trace
 from repro.parallel import procpool
@@ -217,19 +218,28 @@ def test_multiple_faults_within_budget(problem):
 # ----------------------------------------------------------------------
 # degradation: complete on the fallback backend, metered + logged
 # ----------------------------------------------------------------------
-def test_degrade_on_exhausted_respawn_budget(problem, caplog):
+@pytest.mark.parametrize("strategy", ["schedule", "privatize"])
+@pytest.mark.parametrize("fmt", ["hicoo", "alto"])
+def test_degrade_on_exhausted_respawn_budget(problem, caplog, fmt, strategy):
     hic, factors = problem
-    sim = _sim(hic, factors, 0)
+    tensor = hic if fmt == "hicoo" else AltoTensor(hic.to_coo())
+    sim = mttkrp_parallel(tensor, factors, 0, NW, strategy=strategy,
+                          backend="sim")
     cfg = FaultConfig(policy="degrade", respawn_budget=0)
     testing.install_chaos(testing.chaos(testing.kill_at(0)))
     # the repro logger does not propagate to root, so hook it directly
     logger = logging.getLogger("repro.supervisor")
     logger.addHandler(caplog.handler)
     try:
-        run = _proc(hic, factors, 0, cfg)
+        run = mttkrp_parallel(tensor, factors, 0, NW, strategy=strategy,
+                              backend="process", fault_policy=cfg)
     finally:
         logger.removeHandler(caplog.handler)
-    assert np.array_equal(run.output, sim)
+        procpool.release_shared(tensor)
+    # the degraded run re-ran the same region: same partition, same bits
+    assert run.strategy == sim.strategy == strategy
+    assert np.array_equal(run.output, sim.output)
+    assert np.array_equal(run.thread_nnz, sim.thread_nnz)
     # the region finished on the first fallback backend
     assert run.report.backend == cfg.fallback_backends[0] == "thread"
     snap = metrics.snapshot("supervisor.")
