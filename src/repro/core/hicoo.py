@@ -163,6 +163,11 @@ class HicooTensor(SparseTensorFormat):
             metrics.inc("gather.cache_hits")
         return cached
 
+    def sweep_source(self) -> TaskGather:
+        """The whole tensor's memoized :meth:`task_gather`: the Morton
+        order serves every mode."""
+        return self.task_gather([(0, self.nblocks)])
+
     def clear_gather_cache(self) -> None:
         """Drop every memoized :meth:`task_gather` entry (frees memory)."""
         self.__dict__.setdefault("_gather_cache", {}).clear()

@@ -17,6 +17,12 @@ Convergence is declared when the change in fit (1 - relative error) drops
 below ``tol``.  The fit reuses the sweep's last MTTKRP and the Gram
 matrices (:meth:`KruskalTensor.fit`), so it costs O(I_N R + N R^2) and
 never re-reads the tensor.
+
+Each update stores a *new* array in ``factors[n]``; no factor is ever
+written in place.  That is what lets the sequential branch run its N
+MTTKRPs as one :class:`~repro.kernels.sweep.Sweep`, which reuses gathered
+factor rows and partial Hadamard products while the arrays they were
+built from are unchanged.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import numpy as np
 from ..formats.base import SparseTensorFormat
 from ..kernels.khatrirao import gram, hadamard_all
 from ..kernels.mttkrp import mttkrp, mttkrp_parallel
+from ..kernels.sweep import Sweep
 from ..obs import metrics, trace
 from ..util.validation import check_factors
 from .init import initialize
@@ -74,7 +81,9 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
     rank : number of components R.
     maxiters, tol : iteration cap and fit-change convergence threshold.
     init : "random", "hosvd", or an explicit list of factor matrices.
-    nthreads : >1 routes MTTKRP through :func:`mttkrp_parallel`.
+    nthreads : >1 routes MTTKRP through :func:`mttkrp_parallel`.  The
+        sequential branch runs a :class:`~repro.kernels.sweep.Sweep` when
+        the format has a mode-independent gather (COO, HiCOO).
     strategy : parallel MTTKRP strategy (see ``mttkrp_parallel``).
     seed : seeds the initializer for reproducible runs.
     callback : called as ``callback(iteration, fit)`` after every iteration.
@@ -155,6 +164,9 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
         # materialize every mode's gather arrays up front so no iteration
         # (not even the first) pays symbolic cost inside the timed loop
         plan.ensure_gathers(tensor)
+    # sequential COO/HiCOO: one dimension-tree sweep for the whole call
+    # (its buffers are allocated in the first iteration and reused)
+    sweep = None if parallel else Sweep.of(tensor)
     if backend == "numba":
         # compile the fused kernels (no-op when numba is absent) so JIT
         # cost lands before the timed loop, not inside iteration 0
@@ -184,7 +196,7 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
                                             backend=backend,
                                             fault_policy=fault_policy).output
                     else:
-                        m = mttkrp(tensor, factors, mode)
+                        m = mttkrp(tensor, factors, mode, sweep=sweep)
                     result.mttkrp_seconds += time.perf_counter() - t0
 
                     t0 = time.perf_counter()

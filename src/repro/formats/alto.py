@@ -267,7 +267,7 @@ class AltoTensor(SparseTensorFormat):
                     [bool(np.all(g[1:, m] >= g[:-1, m]))
                      for m in range(self.nmodes)], dtype=bool)
                 tg = TaskGather(runs=((0, self.nnz),), ginds=g, values=v,
-                                sorted_modes=sorted_modes)
+                                sorted_modes=sorted_modes, format_name="alto")
             self._mode_views[mode] = tg
         else:
             metrics.inc("alto.view_hits")
@@ -299,7 +299,8 @@ class AltoTensor(SparseTensorFormat):
                 [bool(np.all(ginds[1:, m] >= ginds[:-1, m]))
                  for m in range(self.nmodes)], dtype=bool)
             tg = TaskGather(runs=((0, self.nnz),), ginds=ginds,
-                            values=self.values, sorted_modes=sorted_modes)
+                            values=self.values, sorted_modes=sorted_modes,
+                            format_name="alto")
             self.__dict__["_linear_tg"] = tg
         else:
             metrics.inc("alto.view_hits")

@@ -51,6 +51,13 @@ class SparseTensorFormat(abc.ABC):
         Returns an ``(shape[mode], R)`` dense matrix.
         """
 
+    def sweep_source(self):
+        """The :class:`~repro.kernels.gather.TaskGather` whose nonzero
+        order serves every mode's MTTKRP, for a
+        :class:`~repro.kernels.sweep.Sweep`; ``None`` (the default) when the
+        format keeps per-mode orders or a tree walk of its own."""
+        return None
+
     @abc.abstractmethod
     def to_coo(self):
         """Convert back to :class:`repro.formats.coo.CooTensor`."""

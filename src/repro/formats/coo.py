@@ -316,9 +316,14 @@ class CooTensor(SparseTensorFormat):
                 [bool(np.all(inds[1:, m] >= inds[:-1, m]))
                  for m in range(self.nmodes)], dtype=bool)
             tg = TaskGather(runs=((0, self.nnz),), ginds=inds,
-                            values=self.values, sorted_modes=sorted_modes)
+                            values=self.values, sorted_modes=sorted_modes,
+                            format_name="coo")
             self.__dict__["_gather_view"] = tg
         return tg
+
+    def sweep_source(self) -> TaskGather:
+        """:meth:`gather_view`: one nonzero order serves every mode."""
+        return self.gather_view()
 
     def task_gathers(self, nthreads: int) -> List[TaskGather]:
         """Equal-nnz contiguous slices of :meth:`gather_view`, one per

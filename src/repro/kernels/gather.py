@@ -333,6 +333,8 @@ class TaskGather:
         per tensor, cached so the numeric pass is slice-free).
     sorted_modes : (N,) bool — whether ``ginds[:, m]`` is non-decreasing;
         a sorted target mode builds its reduction without a sort or copy.
+    format_name : the format the nonzeros come from; labels the
+        ``mttkrp.gathers`` counter.
 
     The per-mode :class:`RowReduction` operators are built on first use by
     :meth:`reduction` and live as long as the task.
@@ -342,6 +344,7 @@ class TaskGather:
     ginds: np.ndarray
     values: np.ndarray
     sorted_modes: np.ndarray
+    format_name: str = ""
     _reductions: Dict[int, RowReduction] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -372,7 +375,8 @@ class TaskGather:
         """
         return TaskGather(runs=((lo, hi),), ginds=self.ginds[lo:hi],
                           values=self.values[lo:hi],
-                          sorted_modes=self.sorted_modes)
+                          sorted_modes=self.sorted_modes,
+                          format_name=self.format_name)
 
     def reduction_nbytes(self) -> int:
         """Bytes held by the memoized reduction operators."""
@@ -415,7 +419,7 @@ def build_task_gather(tensor, runs: Sequence[Tuple[int, int]]) -> TaskGather:
         [bool(np.all(ginds[1:, m] >= ginds[:-1, m]))
          for m in range(ginds.shape[1])], dtype=bool)
     return TaskGather(runs=runs, ginds=ginds, values=values,
-                      sorted_modes=sorted_modes)
+                      sorted_modes=sorted_modes, format_name="hicoo")
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +438,8 @@ def mttkrp_gather_chunk(tg: TaskGather, factors, mode: int, out: np.ndarray,
     requests the jitted sequential scatter (the same summation order) for
     tasks past :data:`SCATTER_COMPILED_MIN_N` when the tier is installed.
     Returns the reduction backend used: ``"csr"``, ``"numba"`` or
-    ``"noop"`` (recorded in :class:`MttkrpRun`).
+    ``"noop"`` (recorded in :class:`MttkrpRun`).  Its N - 1 factor-row
+    gathers count in ``mttkrp.gathers``.
     """
     if tg.nnz == 0:
         return "noop"
@@ -448,6 +453,9 @@ def mttkrp_gather_chunk(tg: TaskGather, factors, mode: int, out: np.ndarray,
 
 
 def _mttkrp_gather_chunk(tg, factors, mode, out, backend):
+    if len(factors) > 1:
+        metrics.inc("mttkrp.gathers", len(factors) - 1,
+                    labels={"format": tg.format_name})
     acc = None
     for m, f in enumerate(factors):
         if m == mode:

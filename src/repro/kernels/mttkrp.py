@@ -72,10 +72,17 @@ class MttkrpRun:
 
 
 def mttkrp(tensor: SparseTensorFormat, factors: Sequence[np.ndarray],
-           mode: int) -> np.ndarray:
-    """Sequential MTTKRP on any supported format."""
+           mode: int, sweep=None) -> np.ndarray:
+    """Sequential MTTKRP on any supported format.
+
+    ``sweep`` — a :class:`~repro.kernels.sweep.Sweep` over ``tensor``'s
+    :meth:`~repro.formats.base.SparseTensorFormat.sweep_source`: the
+    MTTKRP reuses the gathered rows and partial products it cached for
+    earlier modes (``cp_als`` passes one per call).
+    """
     with trace.span("mttkrp.seq", mode=mode, format=tensor.format_name):
-        out = tensor.mttkrp(factors, mode)
+        out = (tensor.mttkrp(factors, mode) if sweep is None
+               else sweep.mttkrp(factors, mode))
     metrics.inc("mttkrp.calls",
                 labels={"format": tensor.format_name, "mode": mode})
     return out

@@ -214,6 +214,7 @@ class SharedGatherHandle:
     ginds: ShmArraySpec
     values: ShmArraySpec
     sorted_modes: Tuple[bool, ...]
+    format_name: str
 
     def specs(self) -> Tuple[ShmArraySpec, ...]:
         return (self.ginds, self.values)
@@ -227,7 +228,8 @@ class SharedGatherHandle:
         view = TaskGather(runs=((0, self.ginds.shape[0]),),
                           ginds=attach(self.ginds),
                           values=attach(self.values),
-                          sorted_modes=np.array(self.sorted_modes))
+                          sorted_modes=np.array(self.sorted_modes),
+                          format_name=self.format_name)
         return view.slice(lo, hi)
 
 
@@ -726,7 +728,8 @@ class SharedMttkrpSession:
                 handle = SharedGatherHandle(
                     key=key, ginds=self.arena.share(source.ginds),
                     values=self.arena.share(source.values),
-                    sorted_modes=tuple(bool(f) for f in source.sorted_modes))
+                    sorted_modes=tuple(bool(f) for f in source.sorted_modes),
+                    format_name=source.format_name)
             entry = self._sources[id(source)] = (weakref.ref(source), handle)
             self._gauge()
         return entry[1]
